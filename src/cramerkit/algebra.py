@@ -239,6 +239,8 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if not self._terms.keys() - {()}:  # a constant hashes like the int it equals
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

@@ -38,9 +38,9 @@ from .cramer import (
     solve,
     verify_identity,
 )
-from .involution import build_certificate, certificate_to_dict, check_fact1, check_fact2
+from .involution import _walk, certificate_to_dict
 from .oracle import COFACTOR_MAX_N, bareiss_det, cofactor_det
-from .perm import MAX_N_DEFAULT, SizeLimitError
+from .perm import MAX_N_DEFAULT, SizeLimitError, _check_guard
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,7 +53,7 @@ class InputError(ValueError):
     """The input document (or a usage combination) is malformed."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,14 @@ def _parse_rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise InputError(f"not an exact rational string: {value!r}")
-        num, slash, den = value.partition("/")
-        if slash and int(den) == 0:
-            raise InputError(f"zero denominator in {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise InputError(f"zero denominator in {value!r}") from None
+        except ValueError as exc:  # more digits than int() will convert
+            raise InputError(f"rational string too long: {exc}") from None
     raise InputError(f"rational entries must be strings or integers, got {value!r}")
 
 
@@ -138,7 +140,7 @@ def _load_document(path: str) -> InputDocument:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or UTF-8, or an over-long integer
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return parse_input_document(data)
 
@@ -148,6 +150,7 @@ def _load_document(path: str) -> InputDocument:
 
 def _cmd_solve(args) -> int:
     doc = _load_document(args.input)
+    _check_guard(doc.n, args.max_n)
     system = doc.to_system()
     sol = solve(system, max_n=args.max_n)
     if system.mode == RATIONAL:
@@ -185,8 +188,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify_identity(args) -> int:
-    if not 1 <= args.n <= args.max_n:
-        raise SizeLimitError(f"n={args.n} outside the guard 1..{args.max_n}")
+    _check_guard(args.n, args.max_n)
     system = generic_system(args.n)
     indices = [args.i] if args.i is not None else list(range(1, args.n + 1))
     all_ok = True
@@ -203,13 +205,13 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_check_involution(args) -> int:
-    if not 1 <= args.n <= args.max_n:
-        raise SizeLimitError(f"n={args.n} outside the guard 1..{args.max_n}")
+    _check_guard(args.n, args.max_n)
     if not 1 <= args.i <= args.n:
         raise InputError(f"--i {args.i} outside 1..{args.n}")
     system = generic_system(args.n)
-    f1 = check_fact1(system, args.i, max_n=args.max_n)
-    f2 = check_fact2(system, args.i, max_n=args.max_n)
+    f1, f2, cert = _walk(
+        system, args.i, max_n=args.max_n, collect=bool(args.emit_certificate)
+    )
 
     def line(label: str, ok: bool) -> bool:
         print(f"{label}: {'PASS' if ok else 'FAIL'}")
@@ -224,7 +226,9 @@ def _cmd_check_involution(args) -> int:
     all_ok &= line("fact2 aggregate (bad sum = 0)", f2.aggregate_ok)
 
     if args.emit_certificate:
-        cert = build_certificate(system, args.i, max_n=args.max_n)
+        if cert is None:
+            print("certificate not written: a check failed", file=sys.stderr)
+            return EXIT_FAIL
         try:
             with open(args.emit_certificate, "w", encoding="utf-8") as fh:
                 json.dump(certificate_to_dict(cert), fh, indent=2)
@@ -238,6 +242,11 @@ def _cmd_check_involution(args) -> int:
 
 def _cmd_det(args) -> int:
     doc = _load_document(args.input)
+    if args.method == "bareiss" and doc.mode != RATIONAL:
+        raise InputError("bareiss applies to rational documents only")
+    if doc.mode == SYMBOLIC:
+        limit = COFACTOR_MAX_N if args.method == "cofactor" else args.max_n
+        _check_guard(doc.n, limit)
     system = doc.to_system()
     methods = {
         "leibniz": lambda: big_x(system, 0, max_n=args.max_n),
@@ -245,8 +254,6 @@ def _cmd_det(args) -> int:
         "bareiss": lambda: bareiss_det(system),
     }
     if args.method:
-        if args.method == "bareiss" and system.mode != RATIONAL:
-            raise InputError("bareiss applies to rational documents only")
         print(f"{args.method}: {render_scalar(methods[args.method]())}")
         return EXIT_OK
     # default: every method whose guard and mode allow it, and they must agree

@@ -28,16 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .algebra import Polynomial, Scalar, a_symbol, b_symbol, render_scalar
-from .perm import (
-    MAX_N_DEFAULT,
-    Permutation,
-    enumerate_permutations,
-    iter_signed_values,
-    sign,
-)
+from .perm import MAX_N_DEFAULT, Permutation, iter_signed_values, sign
 
 RATIONAL = "rational"
 SYMBOLIC = "symbolic"
@@ -78,6 +72,11 @@ class LinearSystem:
     @property
     def mode(self) -> str:
         return RATIONAL if isinstance(self.rhs[0], Fraction) else SYMBOLIC
+
+    @property
+    def zero(self) -> Scalar:
+        """The additive identity of the mode: where every sum starts."""
+        return Fraction(0) if self.mode == RATIONAL else Polynomial.zero()
 
     def entry(self, i: int, j: int) -> Scalar:
         """Coefficient in row i, column j (1-based)."""
@@ -139,10 +138,7 @@ def weight_w0(sys: LinearSystem, p: Permutation) -> Scalar:
     """Signed product of entries at (row pi_k, column k) over all columns."""
     if p.n != sys.n:
         raise ValueError(f"permutation size {p.n} != system size {sys.n}")
-    prod: Scalar | int = 1
-    for k in range(1, sys.n + 1):
-        prod = prod * sys.entry(p.values[k - 1], k)
-    return -prod if sign(p) < 0 else prod
+    return _weight(sys, p.values, sign(p))
 
 
 def weight_wj(sys: LinearSystem, j: int, p: Permutation) -> Scalar:
@@ -151,25 +147,17 @@ def weight_wj(sys: LinearSystem, j: int, p: Permutation) -> Scalar:
         raise ValueError(f"permutation size {p.n} != system size {sys.n}")
     if not 1 <= j <= sys.n:
         raise ValueError(f"j={j} outside 1..{sys.n}")
-    prod: Scalar | int = sys.rhs_entry(p.values[j - 1])
-    for k in range(1, sys.n + 1):
-        if k != j:
-            prod = prod * sys.entry(p.values[k - 1], k)
-    return -prod if sign(p) < 0 else prod
+    return _weight(sys, p.values, sign(p), j)
 
 
 def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
     """X_j: the w_j weight summed over all of S_n (j = 0 sums w_0)."""
     if not 0 <= j <= sys.n:
         raise ValueError(f"j={j} outside 0..{sys.n}")
-    total: Scalar | int = 0
-    if j == 0:
-        for p in enumerate_permutations(sys.n, max_n=max_n):
-            total = total + weight_w0(sys, p)
-    else:
-        for p in enumerate_permutations(sys.n, max_n=max_n):
-            total = total + weight_wj(sys, j, p)
-    return _as_scalar(total, sys)
+    total = sys.zero
+    for values, sgn in iter_signed_values(sys.n, max_n=max_n):
+        total = total + _weight(sys, values, sgn, j)
+    return total
 
 
 def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
@@ -205,7 +193,8 @@ def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:
     Shares the per-permutation entry products between the n+1 sums through
     prefix/suffix products, so one pass costs O(n) scalar multiplications
     per permutation instead of O(n^2).  Values are identical to calling
-    :func:`big_x` n+1 times (exact arithmetic, same enumeration).
+    :func:`big_x` n+1 times (exact arithmetic, same enumeration).  Each sum
+    has n! >= 1 terms of the system's scalar type, so no int 0 survives.
     """
     if sys.mode == RATIONAL:
         grid = _integer_grid(sys)
@@ -214,9 +203,7 @@ def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:
             return [
                 Fraction(x) for x in _all_big_x_kernel(sys.n, rows, rhs, max_n)
             ]
-    rows = [[sys.entries[i][j] for j in range(sys.n)] for i in range(sys.n)]
-    rhs = list(sys.rhs)
-    return [_as_scalar(x, sys) for x in _all_big_x_kernel(sys.n, rows, rhs, max_n)]
+    return _all_big_x_kernel(sys.n, sys.entries, sys.rhs, max_n)
 
 
 def verify_identity(
@@ -231,14 +218,23 @@ def verify_identity(
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
     xs = all_big_x(sys, max_n=max_n)
-    lhs: Scalar | int = 0
+    lhs = sys.zero
     for j in range(1, sys.n + 1):
         lhs = lhs + sys.entry(i, j) * xs[j]
     rhs = sys.rhs_entry(i) * xs[0]
-    lhs = _as_scalar(lhs, sys)
     return IdentityReport(
         i=i, ok=(lhs == rhs), lhs=render_scalar(lhs), rhs=render_scalar(rhs)
     )
+
+
+def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) -> Scalar:
+    # w_j of the permutation with these values and sign; j = 0 gives w_0.
+    # The one product routine behind weight_w0/wj, big_x and the F_n walk.
+    prod = sys.rhs[values[j - 1] - 1] if j else 1
+    for k, row in enumerate(values):
+        if k != j - 1:
+            prod = prod * sys.entries[row - 1][k]
+    return prod if sgn > 0 else -prod
 
 
 def _all_big_x_kernel(n, rows, rhs, max_n):
@@ -275,23 +271,7 @@ def _all_big_x_kernel(n, rows, rhs, max_n):
 
 def _integer_grid(sys):
     # int fast path: exact same sums, minus Fraction overhead
-    vals = []
-    for row in sys.entries:
-        for x in row:
-            if x.denominator != 1:
-                return None
-            vals.append(x.numerator)
-    rhs = []
-    for x in sys.rhs:
-        if x.denominator != 1:
-            return None
-        rhs.append(x.numerator)
-    n = sys.n
-    return [vals[i * n : (i + 1) * n] for i in range(n)], rhs
-
-
-def _as_scalar(x, sys: LinearSystem) -> Scalar:
-    # accumulators start at int 0/1; pin empty sums to the system's mode
-    if isinstance(x, int):
-        return Fraction(x) if sys.mode == RATIONAL else Polynomial.constant(x)
-    return x
+    if any(x.denominator != 1 for row in (*sys.entries, sys.rhs) for x in row):
+        return None
+    rows = [[x.numerator for x in row] for row in sys.entries]
+    return rows, [x.numerator for x in sys.rhs]

@@ -18,25 +18,30 @@ sum_j a[i,j] X_j = b[i] X_0.  The elements split into two camps:
 
 Both facts are checked two ways -- elementwise / pairwise as well as in
 aggregate -- because an aggregate zero alone could mask a broken pairing.
-``build_certificate`` serializes the whole verification: every good element
-with its weight and every canceling pair, in a deterministic order, with
-bit-stable weight renderings.
+One walk over S_n does every check; ``check_fact1``, ``check_fact2`` and
+``build_certificate`` are views of it.  The certificate serializes the whole
+verification -- every good element with its weight and every canceling
+pair, in a deterministic order, with bit-stable weight renderings -- and
+``validate_certificate`` audits it independently, through ``FElement``,
+``t_involution``, ``weight_W`` and ``big_x``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator
 
-from .algebra import Polynomial, Scalar, render_scalar
-from .cramer import SYMBOLIC, LinearSystem, big_x, generic_system, weight_w0, weight_wj
+from .algebra import Scalar, render_scalar
+from .cramer import SYMBOLIC, LinearSystem, _weight, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
     Permutation,
+    _inversions,
+    _swapped,
     enumerate_permutations,
-    inversions,
+    iter_signed_values,
     position_of,
     transpose_positions,
 )
@@ -128,31 +133,7 @@ def check_fact1(
     Also checks, element by element, that each good weight equals
     b[i] * w_0(pi) -- the substitution that makes the aggregate work.
     """
-    if not 1 <= i <= sys.n:
-        raise ValueError(f"i={i} outside 1..{sys.n}")
-    b_i = sys.rhs_entry(i)
-    total: Scalar | int = 0
-    count = 0
-    elementwise = True
-    for e in iter_elements(sys.n, max_n=max_n):
-        if not is_good(i, e):
-            continue
-        count += 1
-        w = weight_W(sys, i, e)
-        if w != b_i * weight_w0(sys, e.p):
-            elementwise = False
-        total = total + w
-    expected = b_i * big_x(sys, 0, max_n=max_n)
-    aggregate = total == expected
-    return Fact1Report(
-        i=i,
-        ok=elementwise and aggregate,
-        elementwise_ok=elementwise,
-        aggregate_ok=aggregate,
-        good_count=count,
-        good_sum=total,
-        b_i_times_x0=expected,
-    )
+    return _walk(sys, i, max_n)[0]
 
 
 def check_fact2(
@@ -164,38 +145,7 @@ def check_fact2(
     the map applied twice returns e, the inversion counts of the two
     permutations differ by an odd number, and W(e) + W(t) = 0 exactly.
     """
-    if not 1 <= i <= sys.n:
-        raise ValueError(f"i={i} outside 1..{sys.n}")
-    total: Scalar | int = 0
-    count = 0
-    involution_ok = True
-    parity_ok = True
-    cancellation_ok = True
-    for e in iter_elements(sys.n, max_n=max_n):
-        if is_good(i, e):
-            continue
-        count += 1
-        t = t_involution(i, e)
-        if is_good(i, t) or t == e or t_involution(i, t) != e:
-            involution_ok = False
-        if (inversions(e.p) - inversions(t.p)) % 2 != 1:
-            parity_ok = False
-        w = weight_W(sys, i, e)
-        if w + weight_W(sys, i, t) != 0:
-            cancellation_ok = False
-        total = total + w
-    total = _normalize(total, sys)
-    aggregate = total == 0
-    return Fact2Report(
-        i=i,
-        ok=involution_ok and parity_ok and cancellation_ok and aggregate,
-        involution_ok=involution_ok,
-        parity_ok=parity_ok,
-        cancellation_ok=cancellation_ok,
-        aggregate_ok=aggregate,
-        bad_count=count,
-        bad_sum=total,
-    )
+    return _walk(sys, i, max_n)[1]
 
 
 @dataclass(frozen=True)
@@ -225,57 +175,119 @@ def build_certificate(
     Good entries are sorted by (j, permutation values); each bad pair is
     listed once, smaller element first, pairs sorted by their smaller
     element.  Numeric systems are rejected: their weights can cancel by
-    accident, which makes the certificate meaningless.
+    accident, which makes the certificate meaningless.  Raises
+    RuntimeError when any fact 1 or fact 2 check fails.
     """
     if sys.mode != SYMBOLIC:
         raise ValueError("certificates are only defined for symbolic systems")
+    cert = _walk(sys, i, max_n, collect=True)[2]
+    if cert is None:
+        raise RuntimeError(f"row {i} failed a fact 1 or fact 2 check")
+    return cert
+
+
+def _walk(
+    sys: LinearSystem, i: int, max_n: int = MAX_N_DEFAULT, collect: bool = False
+) -> tuple[Fact1Report, Fact2Report, PairingCertificate | None]:
+    """Check both facts for row i in one pass over S_n, on value tuples.
+
+    Each weight is computed exactly once: w_0 once per permutation (for X_0
+    and the fact-1 substitution check), each good element's W, and a bad
+    pair's two weights at its smaller element, the partner's from its own
+    values and sign.  With ``collect``, certify when every check passed.
+    """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
+    a_i = sys.entries[i - 1]
+    b_i = sys.rhs_entry(i)
+    x0 = good_sum = bad_sum = sys.zero
+    elementwise = involution_ok = parity_ok = cancellation_ok = True
+    good_count = bad_count = pair_count = 0
+    good_rows: list = []
+    pair_rows: list = []
+    for values, sgn in iter_signed_values(sys.n, max_n=max_n):
+        w0 = _weight(sys, values, sgn)
+        x0 = x0 + w0
+        k = values.index(i)  # [k + 1, sigma] is the image of every bad [j + 1, values]
+        inv = _inversions(values)
+        for j, v in enumerate(values):
+            e = (j, values)
+            if v == i:
+                good_count += 1
+                w = a_i[j] * _weight(sys, values, sgn, j + 1)
+                if w != b_i * w0:
+                    elementwise = False
+                good_sum = good_sum + w
+                if collect:
+                    good_rows.append((e, w))
+                continue
+            bad_count += 1
+            sigma = _swapped(values, j, k)
+            t = (k, sigma)
+            j2 = sigma.index(i)
+            if sigma[k] == i or t == e or (j2, _swapped(sigma, k, j2)) != e:
+                involution_ok = False
+            inv_t = _inversions(sigma)
+            if (inv - inv_t) % 2 != 1:
+                parity_ok = False
+            if t < e:
+                continue  # this pair is weighed at its smaller element t
+            pair_count += 1
+            w_e = a_i[j] * _weight(sys, values, sgn, j + 1)
+            w_t = a_i[k] * _weight(sys, sigma, -1 if inv_t % 2 else 1, k + 1)
+            pair_sum = w_e + w_t
+            if pair_sum != 0:
+                cancellation_ok = False
+            bad_sum = bad_sum + pair_sum
+            if collect:
+                pair_rows.append((e, t, w_e, w_t))
+    if 2 * pair_count != bad_count:
+        involution_ok = False  # the smaller-element rule missed or repeated a pair
 
-    good: list[tuple[FElement, str]] = []
-    pairs: dict[tuple, tuple[FElement, FElement]] = {}
-    fact1_total: Scalar | int = 0
-    fact2_total: Scalar | int = 0
-    for e in iter_elements(sys.n, max_n=max_n):
-        w = weight_W(sys, i, e)
-        if is_good(i, e):
-            good.append((e, render_scalar(w)))
-            fact1_total = fact1_total + w
-            continue
-        fact2_total = fact2_total + w
-        t = t_involution(i, e)
-        if t == e:
-            raise RuntimeError(f"pairing map fixed point at {e}")
-        if t_involution(i, t) != e:
-            raise RuntimeError(f"pairing map not self-inverse at {e}")
-        lo, hi = sorted((e, t), key=FElement.sort_key)
-        pairs[lo.sort_key()] = (lo, hi)
-
-    if 2 * len(pairs) + len(good) != sys.n * math.factorial(sys.n):
-        raise RuntimeError("pairing did not cover the bad elements exactly")
-    fact2 = _as_poly(fact2_total)
-    if not fact2.is_zero:
-        raise RuntimeError("bad-element weights did not cancel")
-
-    good.sort(key=lambda item: item[0].sort_key())
-    bad_pairs = []
-    for key in sorted(pairs):
-        lo, hi = pairs[key]
-        w_lo = weight_W(sys, i, lo)
-        w_hi = weight_W(sys, i, hi)
-        if w_lo + w_hi != 0:
-            raise RuntimeError(f"pair weights do not cancel at {lo}")
-        bad_pairs.append((lo, hi, render_scalar(w_lo), render_scalar(w_hi)))
-
-    return PairingCertificate(
+    b_i_times_x0 = b_i * x0
+    aggregate1 = good_sum == b_i_times_x0
+    aggregate2 = bad_sum == 0
+    fact1 = Fact1Report(
+        i=i,
+        ok=elementwise and aggregate1,
+        elementwise_ok=elementwise,
+        aggregate_ok=aggregate1,
+        good_count=good_count,
+        good_sum=good_sum,
+        b_i_times_x0=b_i_times_x0,
+    )
+    fact2 = Fact2Report(
+        i=i,
+        ok=involution_ok and parity_ok and cancellation_ok and aggregate2,
+        involution_ok=involution_ok,
+        parity_ok=parity_ok,
+        cancellation_ok=cancellation_ok,
+        aggregate_ok=aggregate2,
+        bad_count=bad_count,
+        bad_sum=bad_sum,
+    )
+    if not (collect and fact1.ok and fact2.ok):
+        return fact1, fact2, None
+    good_rows.sort(key=itemgetter(0))
+    pair_rows.sort(key=itemgetter(0))
+    cert = PairingCertificate(
         n=sys.n,
         i=i,
-        good=tuple(good),
-        bad_pairs=tuple(bad_pairs),
-        fact1_sum=render_scalar(_as_poly(fact1_total)),
-        b_i_times_x0=render_scalar(sys.rhs_entry(i) * big_x(sys, 0, max_n=max_n)),
-        fact2_sum=render_scalar(fact2),
+        good=tuple((_felement(e), render_scalar(w)) for e, w in good_rows),
+        bad_pairs=tuple(
+            (_felement(e), _felement(t), render_scalar(w_e), render_scalar(w_t))
+            for e, t, w_e, w_t in pair_rows
+        ),
+        fact1_sum=render_scalar(good_sum),
+        b_i_times_x0=render_scalar(b_i_times_x0),
+        fact2_sum=render_scalar(bad_sum),
     )
+    return fact1, fact2, cert
+
+
+def _felement(e: tuple[int, tuple[int, ...]]) -> FElement:
+    # 0-based walk position -> the public 1-based element
+    return FElement(e[0] + 1, Permutation(e[1]))
 
 
 def certificate_to_dict(cert: PairingCertificate) -> dict:
@@ -352,7 +364,7 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
         raise ValueError("good + 2 * pairs must cover all n * n! elements")
 
     seen: set[tuple] = set()
-    total: Scalar | int = 0
+    total = sys.zero
     for e, w in cert.good:
         if not is_good(cert.i, e):
             raise ValueError(f"{e} listed as good but is bad")
@@ -361,7 +373,7 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
             raise ValueError(f"good weight mismatch at {e}")
         _mark(seen, e)
         total = total + recomputed
-    if render_scalar(_as_poly(total)) != cert.fact1_sum:
+    if render_scalar(total) != cert.fact1_sum:
         raise ValueError("fact1_sum does not match the good weights")
     expected = sys.rhs_entry(cert.i) * big_x(sys, 0, max_n=max_n)
     if render_scalar(expected) != cert.b_i_times_x0:
@@ -408,14 +420,3 @@ def _expect_str(v, what: str) -> str:
     if not isinstance(v, str):
         raise TypeError(f"{what} must be a string, got {v!r}")
     return v
-
-
-def _as_poly(x: Scalar | int) -> Polynomial:
-    return Polynomial.constant(x) if isinstance(x, int) else x
-
-
-def _normalize(x: Scalar | int, sys: LinearSystem) -> Scalar:
-    # sums over an empty camp stay the int 0; pin them to the system's mode
-    if isinstance(x, int):
-        return Polynomial.constant(x) if sys.mode == SYMBOLIC else Fraction(x)
-    return x

@@ -90,9 +90,7 @@ def inversions(p: Permutation) -> int:
     >>> inversions(make_permutation([5, 1, 4, 2, 3]))
     6
     """
-    v = p.values
-    n = len(v)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
+    return _inversions(p.values)
 
 
 def sign(p: Permutation) -> int:
@@ -121,9 +119,7 @@ def transpose_positions(p: Permutation, j: int, j2: int) -> Permutation:
     for pos in (j, j2):
         if not 1 <= pos <= p.n:
             raise ValueError(f"position {pos} outside 1..{p.n}")
-    v = list(p.values)
-    v[j - 1], v[j2 - 1] = v[j2 - 1], v[j - 1]
-    return Permutation(tuple(v))
+    return Permutation(_swapped(p.values, j - 1, j2 - 1))
 
 
 def iter_signed_values(
@@ -141,6 +137,18 @@ def iter_signed_values(
         (values, _cycle_sign(values))
         for values in itertools.permutations(range(1, n + 1))
     )
+
+
+def _swapped(v: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    # the value sequence with 0-based positions a and b exchanged
+    w = list(v)
+    w[a], w[b] = w[b], w[a]
+    return tuple(w)
+
+
+def _inversions(v: tuple[int, ...]) -> int:
+    n = len(v)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
 
 
 def _cycle_sign(values: tuple[int, ...]) -> int:

@@ -165,6 +165,11 @@ def test_int_coercion_in_operators():
     assert p + 2 == p + Polynomial.constant(2)
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    assert len({Polynomial.constant(3), 3}) == 1
+    assert len({Polynomial.zero(), 0}) == 1
+
+
 # -- evaluation ----------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cramerkit import cli, cramer, involution
 from cramerkit import certificate_from_dict, validate_certificate
 from cramerkit.cli import (
     EXIT_FAIL,
@@ -73,11 +74,27 @@ def test_parse_accepts_strings_and_ints():
         {"n": 1, "mode": "rational", "A": [["1"]]},
         {"n": 1, "mode": "symbolic", "A": [["1"]], "b": ["1"]},
         {"n": 2, "mode": "rational", "A": [["1", "1"], ["1"]], "b": ["1", "1"]},
+        {"n": 1, "mode": "rational", "A": [["\u0661"]], "b": ["1"]},
+        {"n": 1, "mode": "rational", "A": [["2\n"]], "b": ["1"]},
+        {"n": 1, "mode": "rational", "A": [["1" * 5000]], "b": ["1"]},
     ],
 )
 def test_parse_rejects_malformed(raw):
     with pytest.raises(InputError):
         parse_input_document(raw)
+
+
+def test_overlong_numbers_are_input_errors(tmp_path, capsys):
+    # more digits than int() converts by default (4300), as a rational string
+    # and as a JSON integer; undecodable bytes take the same path
+    doc = {"n": 1, "mode": "rational", "A": [["1" * 5000]], "b": ["1"]}
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"n": ' + "1" * 5000 + "}", encoding="utf-8")
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"n": 1, "mode": "\xff"}')
+    for path in (write_doc(tmp_path, "d.json", doc), long_int, not_utf8):
+        code, _, err = run(capsys, "solve", "--input", str(path))
+        assert code == EXIT_INPUT and err.startswith("error:"), path
 
 
 def test_document_roundtrip_by_value():
@@ -257,6 +274,54 @@ def test_check_involution_unwritable_certificate(tmp_path, capsys):
     assert "cannot write certificate" in err
 
 
+def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
+    # one enumeration of S_5 and (n + 1) * n! = 720 weight evaluations:
+    # w_0 once per permutation plus each element of F_5 once
+    calls = {"enumerations": 0, "weights": 0}
+
+    def counting(module, name, key):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cramer, involution):
+        counting(module, "iter_signed_values", "enumerations")
+    counting(involution, "enumerate_permutations", "enumerations")
+    counting(involution, "_weight", "weights")
+    code, out, _ = run(
+        capsys,
+        "check-involution", "--n", "5", "--i", "2",
+        "--emit-certificate", str(tmp_path / "cert.json"),
+    )
+    assert code == EXIT_OK and out.count("PASS") == 6
+    assert calls == {"enumerations": 1, "weights": 720}
+
+
+def test_check_involution_failed_check_writes_no_certificate(
+    tmp_path, capsys, monkeypatch
+):
+    weight = involution._weight
+
+    def off_by_one_w0(sys, values, sgn, j=0):
+        return weight(sys, values, sgn, j) + (1 if j == 0 else 0)
+
+    monkeypatch.setattr(involution, "_weight", off_by_one_w0)
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run(
+        capsys,
+        "check-involution", "--n", "3", "--i", "1",
+        "--emit-certificate", str(cert_path),
+    )
+    assert code == EXIT_FAIL
+    assert "fact1 elementwise (weight = b_i * w0): FAIL" in out
+    assert "certificate not written" in err
+    assert not cert_path.exists()
+
+
 def test_check_involution_bad_i(capsys):
     code, _, _ = run(capsys, "check-involution", "--n", "2", "--i", "3")
     assert code == EXIT_INPUT
@@ -311,6 +376,24 @@ def test_det_guard_default(tmp_path, capsys):
     path = write_doc(tmp_path, "d.json", {"n": 10, "mode": "symbolic"})
     code, _, _ = run(capsys, "det", "--input", path)
     assert code == EXIT_GUARD
+
+
+def test_symbolic_guard_before_building_the_system(tmp_path, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"generic_system({n}) built before the size guard")
+
+    monkeypatch.setattr(cli, "generic_system", refuse)
+    path = write_doc(tmp_path, "huge.json", {"n": 10**6, "mode": "symbolic"})
+    for argv in (
+        ["solve", "--input", path],
+        ["det", "--input", path],
+        ["det", "--input", path, "--method", "leibniz"],
+        ["det", "--input", path, "--method", "cofactor"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_GUARD and "guard" in err, argv
+    code, _, _ = run(capsys, "det", "--input", path, "--method", "bareiss")
+    assert code == EXIT_INPUT
 
 
 # -- console entry -------------------------------------------------------------------

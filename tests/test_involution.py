@@ -1,5 +1,6 @@
 """Good/bad classification, the pairing involution, both facts, certificates."""
 
+import hashlib
 import json
 import math
 import random
@@ -22,6 +23,7 @@ from cramerkit import (
     weight_W,
     weight_w0,
 )
+from cramerkit import involution
 from cramerkit.algebra import a_symbol, b_symbol, make_monomial, Polynomial
 from cramerkit.involution import iter_elements
 
@@ -211,6 +213,38 @@ def test_partition_covers_row_identity():
             assert f1.good_sum + f2.bad_sum == lhs
 
 
+def corrupt_weight(monkeypatch, target):
+    # the walk's weight routine, off by one at the element [j, pi] = target
+    weight = involution._weight
+
+    def corrupted(sys, values, sgn, j=0):
+        w = weight(sys, values, sgn, j)
+        return w + 1 if (j, values) == target else w
+
+    monkeypatch.setattr(involution, "_weight", corrupted)
+
+
+def test_walk_checks_every_element(monkeypatch):
+    # the walk weighs each bad pair once, at its smaller element; corrupting
+    # any single weight must still fail the check that covers it
+    gs = generic_system(3)
+    i = 2
+    for e in iter_elements(3):
+        with monkeypatch.context() as m:
+            corrupt_weight(m, (e.j, e.p.values))
+            f1 = check_fact1(gs, i)
+            f2 = check_fact2(gs, i)
+            if is_good(i, e):
+                assert not f1.elementwise_ok and not f1.aggregate_ok
+                assert f2.ok
+            else:
+                assert f1.ok
+                assert not f2.cancellation_ok and not f2.aggregate_ok
+                assert f2.involution_ok and f2.parity_ok
+            with pytest.raises(RuntimeError):
+                build_certificate(gs, i)
+
+
 # -- certificates -------------------------------------------------------------------
 
 
@@ -240,6 +274,23 @@ EXPECTED_CERT_2_1 = {
 def test_certificate_n2_i1_exact():
     cert = build_certificate(generic_system(2), 1)
     assert certificate_to_dict(cert) == EXPECTED_CERT_2_1
+
+
+# SHA-256 of the n = 4 certificate JSON as the CLI writes it (indent=2 plus
+# a newline); the weight renderings and the entry order are a contract
+CERT_N4_SHA256 = {
+    1: "3b82e97ce5a9f4c1744dd47f17dddd38dc392dea3c50ade17541e6599babf587",
+    2: "971d6b9fa392d4562d4302c0e4bd504e2fcbdd5e19a5915229d787de2e609f72",
+    3: "ace3577e5c5ee914591bbcbee2a15abc88741c23c5d4fd48550265c1d0955b30",
+    4: "f042e8263e6b6ad452756a8dd852a01b04b1cc4df172ab9ac157880cc0f10789",
+}
+
+
+@pytest.mark.parametrize("i", sorted(CERT_N4_SHA256))
+def test_certificate_n4_bytes_stable(i):
+    cert = build_certificate(generic_system(4), i)
+    text = json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_N4_SHA256[i]
 
 
 def test_certificate_n1():
