@@ -31,12 +31,14 @@ from .cramer import (
     RATIONAL,
     SYMBOLIC,
     LinearSystem,
+    ResidualError,
     SingularSystemError,
+    _identity_report,
+    all_big_x,
     big_x,
     generic_system,
     rational_system,
     solve,
-    verify_identity,
 )
 from .involution import _walk, certificate_to_dict
 from .oracle import COFACTOR_MAX_N, bareiss_det, cofactor_det
@@ -189,13 +191,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify_identity(args) -> int:
     _check_guard(args.n, args.max_n)
-    system = generic_system(args.n)
+    if args.i is not None and not 1 <= args.i <= args.n:
+        raise InputError(f"--i {args.i} outside 1..{args.n}")
     indices = [args.i] if args.i is not None else list(range(1, args.n + 1))
+    system = generic_system(args.n)
+    xs = all_big_x(system, max_n=args.max_n)
     all_ok = True
     for i in indices:
-        if not 1 <= i <= args.n:
-            raise InputError(f"--i {i} outside 1..{args.n}")
-        report = verify_identity(system, i, max_n=args.max_n)
+        report = _identity_report(system, i, xs)
         print(f"i={i}: {'PASS' if report.ok else 'FAIL'}")
         if not report.ok:
             all_ok = False
@@ -336,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except ResidualError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ permutation pi of {1..n} gets n+1 weights:
   factor replaced by b[pi_j].
 
 Summing a weight over all of S_n gives X_j; the solution of the system is
-the quotient sequence x_j = X_j / X_0.  Everything is computed by streaming
-the lexicographic enumeration with an accumulator -- no table of weights is
-ever materialized, and exact arithmetic makes the result independent of
-summation order.
+the quotient sequence x_j = X_j / X_0.  :func:`_leibniz` adds the same
+signed products grouped by the set of rows that fill the first k columns
+(Laplace expansion with memoization), O(n 2^n) multiplications instead of
+O(n n!); exact arithmetic makes the sum independent of that grouping.  The
+F_n checker in involution.py still streams S_n one permutation at a time.
 
 Systems come in two modes: "rational" (Fraction entries) and "symbolic"
 (polynomial entries; the generic system assigns entry (i,j) the symbol
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .algebra import Polynomial, Scalar, a_symbol, b_symbol, render_scalar
-from .perm import MAX_N_DEFAULT, Permutation, iter_signed_values, sign
+from .perm import MAX_N_DEFAULT, Permutation, _check_guard, sign
 
 RATIONAL = "rational"
 SYMBOLIC = "symbolic"
@@ -39,6 +40,10 @@ SYMBOLIC = "symbolic"
 
 class SingularSystemError(ArithmeticError):
     """Numeric solve hit X_0 = 0; the quotient solution does not exist."""
+
+
+class ResidualError(RuntimeError):
+    """A numeric solution failed its exact residual check (an internal fault)."""
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,18 @@ def weight_wj(sys: LinearSystem, j: int, p: Permutation) -> Scalar:
 
 
 def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
-    """X_j: the w_j weight summed over all of S_n (j = 0 sums w_0)."""
+    """X_j: the w_j weight summed over all of S_n (j = 0 sums w_0).
+
+    The sum holds the system's scalar type (Fraction or Polynomial), also
+    when it is zero.
+    """
     if not 0 <= j <= sys.n:
         raise ValueError(f"j={j} outside 0..{sys.n}")
-    total = sys.zero
-    for values, sgn in iter_signed_values(sys.n, max_n=max_n):
-        total = total + _weight(sys, values, sgn, j)
-    return total
+    _check_guard(sys.n, max_n)
+    cols = list(zip(*sys.entries))  # column j replaced by the right-hand side
+    if j:
+        cols[j - 1] = sys.rhs
+    return _leibniz(cols)
 
 
 def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
@@ -176,34 +186,15 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
     if x0 == 0:
         raise SingularSystemError("singular system: X_0 = 0")
     quotients = tuple(xj / x0 for xj in numerators)
-    for i in range(1, sys.n + 1):
-        residual = sum(
-            sys.entry(i, j) * quotients[j - 1] for j in range(1, sys.n + 1)
-        ) - sys.rhs_entry(i)
-        if residual != 0:
-            raise RuntimeError(
-                f"internal error: nonzero residual in equation {i}"
-            )
+    for i, (row, b) in enumerate(zip(sys.entries, sys.rhs), start=1):
+        if sum(a * x for a, x in zip(row, quotients)) != b:
+            raise ResidualError(f"internal error: nonzero residual in equation {i}")
     return Solution(numerators, x0, quotients)
 
 
 def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:
-    """[X_0, X_1, ..., X_n] in a single streaming pass over S_n.
-
-    Shares the per-permutation entry products between the n+1 sums through
-    prefix/suffix products, so one pass costs O(n) scalar multiplications
-    per permutation instead of O(n^2).  Values are identical to calling
-    :func:`big_x` n+1 times (exact arithmetic, same enumeration).  Each sum
-    has n! >= 1 terms of the system's scalar type, so no int 0 survives.
-    """
-    if sys.mode == RATIONAL:
-        grid = _integer_grid(sys)
-        if grid is not None:
-            rows, rhs = grid
-            return [
-                Fraction(x) for x in _all_big_x_kernel(sys.n, rows, rhs, max_n)
-            ]
-    return _all_big_x_kernel(sys.n, sys.entries, sys.rhs, max_n)
+    """[X_0, X_1, ..., X_n], each as :func:`big_x` computes it."""
+    return [big_x(sys, j, max_n=max_n) for j in range(sys.n + 1)]
 
 
 def verify_identity(
@@ -217,7 +208,13 @@ def verify_identity(
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
-    xs = all_big_x(sys, max_n=max_n)
+    return _identity_report(sys, i, all_big_x(sys, max_n=max_n))
+
+
+def _identity_report(
+    sys: LinearSystem, i: int, xs: Sequence[Scalar]
+) -> IdentityReport:
+    # row identity i checked against precomputed [X_0, ..., X_n]
     lhs = sys.zero
     for j in range(1, sys.n + 1):
         lhs = lhs + sys.entry(i, j) * xs[j]
@@ -229,7 +226,7 @@ def verify_identity(
 
 def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) -> Scalar:
     # w_j of the permutation with these values and sign; j = 0 gives w_0.
-    # The one product routine behind weight_w0/wj, big_x and the F_n walk.
+    # The one product routine behind weight_w0/wj and the F_n walk.
     prod = sys.rhs[values[j - 1] - 1] if j else 1
     for k, row in enumerate(values):
         if k != j - 1:
@@ -237,41 +234,27 @@ def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) ->
     return prod if sgn > 0 else -prod
 
 
-def _all_big_x_kernel(n, rows, rhs, max_n):
-    # One lexicographic pass; works for any scalars with +, -, * (ints,
-    # Fractions, Polynomials).  pre[k] / suf[k] are the products of the
-    # entry factors strictly before / from position k, so dropping the
-    # factor at position j costs two multiplications.
-    xs = [0] * (n + 1)
-    pre = [1] * (n + 1)
-    suf = [1] * (n + 1)
-    factors = [0] * n
-    rng = range(n)
-    for values, sgn in iter_signed_values(n, max_n=max_n):
-        for k in rng:
-            factors[k] = rows[values[k] - 1][k]
-        acc = 1
-        for k in rng:
-            acc = acc * factors[k]
-            pre[k + 1] = acc
-        acc = 1
-        for k in range(n - 1, -1, -1):
-            acc = factors[k] * acc
-            suf[k] = acc
-        if sgn > 0:
-            xs[0] = xs[0] + pre[n]
-            for j in rng:
-                xs[j + 1] = xs[j + 1] + rhs[values[j] - 1] * pre[j] * suf[j + 1]
-        else:
-            xs[0] = xs[0] - pre[n]
-            for j in rng:
-                xs[j + 1] = xs[j + 1] - rhs[values[j] - 1] * pre[j] * suf[j + 1]
-    return xs
-
-
-def _integer_grid(sys):
-    # int fast path: exact same sums, minus Fraction overhead
-    if any(x.denominator != 1 for row in (*sys.entries, sys.rhs) for x in row):
-        return None
-    rows = [[x.numerator for x in row] for row in sys.entries]
-    return rows, [x.numerator for x in sys.rhs]
+def _leibniz(cols: Sequence[Sequence[Scalar]]) -> Scalar:
+    # sum over pi in S_n of sign(pi) * prod_k cols[k][pi_k], column by
+    # column: partial maps the bitmask of rows used by the first k columns
+    # to the signed sum of their products.  Putting row r in the next column
+    # adds one inversion per used row above r.
+    n = len(cols)
+    partial = {0: 1}
+    for col in cols:
+        grown: dict = {}
+        for used, acc in partial.items():
+            above = 0
+            for r in range(n - 1, -1, -1):
+                bit = 1 << r
+                if used & bit:
+                    above += 1
+                    continue
+                term = acc * col[r]
+                key = used | bit
+                if key in grown:
+                    grown[key] = grown[key] - term if above & 1 else grown[key] + term
+                else:
+                    grown[key] = -term if above & 1 else term
+        partial = grown
+    return partial[(1 << n) - 1]

@@ -38,6 +38,7 @@ from .cramer import SYMBOLIC, LinearSystem, _weight, big_x, generic_system, weig
 from .perm import (
     MAX_N_DEFAULT,
     Permutation,
+    _check_guard,
     _inversions,
     _swapped,
     enumerate_permutations,
@@ -354,14 +355,16 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
 
     Weights are recomputed from (i, j, pi) on the generic system and
     re-rendered, so a loaded file is checked against the arithmetic itself,
-    not just against its own internal consistency.
+    not just against its own internal consistency.  The size guard and the
+    entry counts are checked before the generic system is built.
     """
-    sys = generic_system(cert.n)
+    _check_guard(cert.n, max_n)
     fact = math.factorial(cert.n)
     if len(cert.good) != fact:
         raise ValueError(f"expected {fact} good entries, found {len(cert.good)}")
     if len(cert.good) + 2 * len(cert.bad_pairs) != cert.n * fact:
         raise ValueError("good + 2 * pairs must cover all n * n! elements")
+    sys = generic_system(cert.n)
 
     seen: set[tuple] = set()
     total = sys.zero

@@ -127,8 +127,8 @@ def iter_signed_values(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Stream (value sequence, sign) pairs over S_n in lexicographic order.
 
-    Low-level form of :func:`enumerate_permutations` for summation kernels
-    that would otherwise spend their time constructing objects and
+    Low-level form of :func:`enumerate_permutations` for the F_n walk,
+    which would otherwise spend its time constructing objects and
     re-counting inversions.  The sign comes from the cycle decomposition
     and is cross-checked against the inversion-scan definition in the tests.
     """

@@ -1,14 +1,18 @@
 """CLI surface: documents, subcommands, exit codes, JSON output."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cramerkit import cli, cramer, involution
 from cramerkit import certificate_from_dict, validate_certificate
@@ -199,6 +203,23 @@ def test_solve_guard_and_override(tmp_path, capsys):
     assert out.splitlines() == ["x1 = 1", "x2 = 2", "x3 = 3", "x4 = 4"]
 
 
+def test_solve_residual_failure_exits_1(tmp_path, capsys, monkeypatch):
+    leibniz = cramer._leibniz
+    calls = []
+
+    def corrupt_x1(cols):
+        calls.append(cols)
+        x = leibniz(cols)
+        return x + 1 if len(calls) == 2 else x
+
+    monkeypatch.setattr(cramer, "_leibniz", corrupt_x1)
+    path = write_doc(tmp_path, "s.json", rational_doc([[1, 1], [1, -1]], [3, 1]))
+    code, out, err = run(capsys, "solve", "--input", path)
+    assert code == EXIT_FAIL and out == ""
+    assert err.startswith("error: ") and "residual" in err
+    assert "Traceback" not in err
+
+
 # -- verify-identity ---------------------------------------------------------------
 
 
@@ -222,6 +243,21 @@ def test_verify_identity_bad_row(capsys):
 def test_verify_identity_guard(capsys):
     code, _, _ = run(capsys, "verify-identity", "--n", "12")
     assert code == EXIT_GUARD
+
+
+def test_verify_identity_computes_x_once(capsys, monkeypatch):
+    leibniz = cramer._leibniz
+    calls = []
+
+    def counting(cols):
+        calls.append(cols)
+        return leibniz(cols)
+
+    monkeypatch.setattr(cramer, "_leibniz", counting)
+    code, out, _ = run(capsys, "verify-identity", "--n", "4")
+    assert code == EXIT_OK
+    assert out.splitlines() == [f"i={i}: PASS" for i in range(1, 5)]
+    assert len(calls) == 5  # X_0..X_4, shared by all four rows
 
 
 # -- check-involution ---------------------------------------------------------------
@@ -276,8 +312,9 @@ def test_check_involution_unwritable_certificate(tmp_path, capsys):
 
 def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
     # one enumeration of S_5 and (n + 1) * n! = 720 weight evaluations:
-    # w_0 once per permutation plus each element of F_5 once
-    calls = {"enumerations": 0, "weights": 0}
+    # w_0 once per permutation plus each element of F_5 once, and X_0 comes
+    # from that same pass, never from a second sum
+    calls = {"enumerations": 0, "weights": 0, "sums": 0}
 
     def counting(module, name, key):
         inner = getattr(module, name)
@@ -288,17 +325,17 @@ def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (cramer, involution):
-        counting(module, "iter_signed_values", "enumerations")
+    counting(involution, "iter_signed_values", "enumerations")
     counting(involution, "enumerate_permutations", "enumerations")
     counting(involution, "_weight", "weights")
+    counting(cramer, "_leibniz", "sums")
     code, out, _ = run(
         capsys,
         "check-involution", "--n", "5", "--i", "2",
         "--emit-certificate", str(tmp_path / "cert.json"),
     )
     assert code == EXIT_OK and out.count("PASS") == 6
-    assert calls == {"enumerations": 1, "weights": 720}
+    assert calls == {"enumerations": 1, "weights": 720, "sums": 0}
 
 
 def test_check_involution_failed_check_writes_no_certificate(
@@ -394,6 +431,74 @@ def test_symbolic_guard_before_building_the_system(tmp_path, capsys, monkeypatch
         assert code == EXIT_GUARD and "guard" in err, argv
     code, _, _ = run(capsys, "det", "--input", path, "--method", "bareiss")
     assert code == EXIT_INPUT
+
+
+# -- exit codes for any document ----------------------------------------------------
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_valid_entries = st.integers(-3, 3) | st.from_regex(
+    r"[+-]?[0-9](/[1-9])?", fullmatch=True
+)
+_bad_entries = (
+    st.sampled_from(["1/0", "0/0", "9" * 5000, "\u0661", "2\n", " 1", "1.5"])
+    | _json_values
+)
+
+
+@st.composite
+def _near_valid_documents(draw):
+    # a valid rational or symbolic document with at most one flaw
+    n = draw(st.integers(1, 6))
+    doc = {"n": n, "mode": draw(st.sampled_from(["rational", "symbolic"]))}
+    if doc["mode"] == "rational":
+        entries = st.lists(_valid_entries, min_size=n, max_size=n)
+        doc["A"] = draw(st.lists(entries, min_size=n, max_size=n))
+        doc["b"] = draw(entries)
+    flaw = draw(st.sampled_from(["none", "none", "key", "value", "size", "entry"]))
+    key = draw(st.sampled_from(sorted(doc) + ["x"]))
+    if flaw == "key" and key in doc:
+        del doc[key]
+    elif flaw == "value":
+        doc[key] = draw(_json_values)
+    elif flaw == "size" and "A" in doc:
+        draw(st.sampled_from([doc["A"], doc["A"][0], doc["b"]])).pop()
+    elif flaw == "entry" and "A" in doc:
+        doc["A"][draw(st.integers(0, n - 1))][-1] = draw(_bad_entries)
+    return doc
+
+
+_documents = st.one_of(
+    _near_valid_documents().map(json.dumps),
+    _json_values.map(json.dumps),
+    st.text(max_size=20),
+)
+_FUZZED_COMMANDS = [
+    ["solve"],
+    ["solve", "--json"],
+    ["det"],
+    *(["det", "--method", m] for m in ("leibniz", "cofactor", "bareiss")),
+]
+
+
+@settings(max_examples=200)
+@given(_documents)
+def test_every_document_ends_in_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in _FUZZED_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--input", path, "--max-n", "4"])
+            assert code in (EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_SINGULAR, EXIT_GUARD)
+            assert "Traceback" not in err.getvalue(), command
 
 
 # -- console entry -------------------------------------------------------------------

@@ -5,13 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cramerkit import (
     LinearSystem,
     SingularSystemError,
     SizeLimitError,
     all_big_x,
+    bareiss_det,
     big_x,
+    cofactor_det,
+    enumerate_permutations,
     generic_system,
     make_permutation,
     rational_system,
@@ -20,8 +24,7 @@ from cramerkit import (
     weight_w0,
     weight_wj,
 )
-from cramerkit.algebra import Polynomial, a_symbol, b_symbol, make_monomial
-from cramerkit.cramer import _all_big_x_kernel
+from cramerkit.algebra import Polynomial, a_symbol, b_symbol, make_monomial, render_scalar
 
 from _support import random_fraction, random_fraction_system, random_int_system
 
@@ -144,14 +147,40 @@ def test_all_big_x_matches_big_x():
         assert all_big_x(gs) == [big_x(gs, j) for j in range(n + 1)]
 
 
-def test_integer_fast_path_matches_generic_kernel():
-    rng = random.Random(55)
-    for n in range(1, 6):
-        sys = random_int_system(rng, n)
-        fast = all_big_x(sys)
-        rows = [[sys.entries[i][j] for j in range(n)] for i in range(n)]
-        generic = _all_big_x_kernel(n, rows, list(sys.rhs), 9)
-        assert fast == generic
+def _entries(entry):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(entry, min_size=n, max_size=n),
+        )
+    )
+
+
+_systems = st.one_of(
+    _entries(st.integers(-9, 9)).map(lambda ab: rational_system(*ab)),
+    _entries(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))).map(
+        lambda ab: rational_system(*ab)
+    ),
+    st.integers(1, 4).map(generic_system),
+)
+
+
+@settings(max_examples=60)
+@given(_systems)
+def test_all_big_x_is_the_signed_sum_over_s_n(sys):
+    # the paper's definition, summed one permutation at a time
+    perms = list(enumerate_permutations(sys.n))
+    expected = [sys.zero] * (sys.n + 1)
+    for p in perms:
+        expected[0] = expected[0] + weight_w0(sys, p)
+        for j in range(1, sys.n + 1):
+            expected[j] = expected[j] + weight_wj(sys, j, p)
+    xs = all_big_x(sys)
+    assert xs == expected
+    assert [render_scalar(x) for x in xs] == [render_scalar(x) for x in expected]
+    assert all(type(x) is type(sys.zero) for x in xs)
+    oracle = bareiss_det if sys.mode == "rational" else cofactor_det
+    assert xs[0] == oracle(sys)
 
 
 # -- solving -------------------------------------------------------------------

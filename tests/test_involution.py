@@ -9,6 +9,8 @@ import pytest
 
 from cramerkit import (
     FElement,
+    PairingCertificate,
+    SizeLimitError,
     big_x,
     build_certificate,
     certificate_from_dict,
@@ -321,6 +323,16 @@ def test_certificate_roundtrip_through_json():
         cert = build_certificate(generic_system(n), i)
         data = json.loads(json.dumps(certificate_to_dict(cert)))
         assert certificate_from_dict(data) == cert
+        validate_certificate(cert)
+
+
+def test_validate_checks_the_guard_before_building(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"generic_system({n}) built before the size guard")
+
+    monkeypatch.setattr(involution, "generic_system", refuse)
+    cert = PairingCertificate(600, 1, (), (), "0", "0", "0")
+    with pytest.raises(SizeLimitError):
         validate_certificate(cert)
 
 
