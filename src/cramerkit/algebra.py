@@ -8,16 +8,18 @@ evaluated or two polynomial sums are divided downstream.
 
 Canonical form
 --------------
-* Symbols are totally ordered by (kind, row, col) with every a[...] before
-  every b[...].
+* A symbol is a (kind, row, col) tuple, so its hash and its total order are
+  the tuple's: every a[...] before every b[...], then by row and column.
 * A monomial is a tuple of (symbol, exponent) pairs, sorted by symbol, with
   no zero exponents; () is the constant monomial.
 * Polynomial terms are kept in a map monomial -> nonzero coefficient; two
   polynomials are equal exactly when their canonical representations are
   identical.
 * For rendering, terms are listed with the lexicographically largest
-  exponent vector first (leading-term-first).  The direction is a
-  convention; what matters is that it is fixed, so rendered output is
+  exponent vector first (leading-term-first).  That order is a sort key: it
+  maps each symbol to a tuple that orders the symbols in reverse, so at the
+  first difference a present symbol beats an absent one.  The direction
+  is a convention; what matters is that it is fixed, so rendered output is
   bit-stable and can be compared as strings.
 
 Rendering: ``-3*a[1,2]*a[2,1]*b[2]`` style -- integer coefficient (omitted
@@ -28,31 +30,31 @@ order, ``^e`` for exponents above 1, terms joined by `` + `` / `` - ``, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Fraction
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """One commuting indeterminate: a[row,col] (kind "a") or b[row] (kind "b")."""
+class Symbol(NamedTuple("Symbol", [("kind", str), ("row", int), ("col", int)])):
+    """One commuting indeterminate: a[row,col] (kind "a") or b[row] (kind "b").
 
-    kind: str
-    row: int
-    col: int = 0
+    A (kind, row, col) tuple: hashing, equality and the order come from the
+    tuple, and b-symbols have col 0.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("a", "b"):
-            raise ValueError(f"symbol kind must be 'a' or 'b', got {self.kind!r}")
-        if self.row < 1:
-            raise ValueError(f"symbol row must be >= 1, got {self.row}")
-        if self.kind == "a" and self.col < 1:
-            raise ValueError(f"a-symbol col must be >= 1, got {self.col}")
-        if self.kind == "b" and self.col != 0:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, row: int, col: int = 0) -> "Symbol":
+        if kind not in ("a", "b"):
+            raise ValueError(f"symbol kind must be 'a' or 'b', got {kind!r}")
+        if row < 1:
+            raise ValueError(f"symbol row must be >= 1, got {row}")
+        if kind == "a" and col < 1:
+            raise ValueError(f"a-symbol col must be >= 1, got {col}")
+        if kind == "b" and col != 0:
             raise ValueError("b-symbols carry no column index")
+        return super().__new__(cls, kind, row, col)
 
     def __str__(self) -> str:
         if self.kind == "a":
@@ -81,60 +83,10 @@ def make_monomial(exponents: Mapping[Symbol, int]) -> Monomial:
 
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    # merge of two sorted pair lists, adding exponents
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1 == s2:
-            out.append((s1, e1 + e2))
-            i += 1
-            j += 1
-        elif s1 < s2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
-def _compare_monomials(m1: Monomial, m2: Monomial) -> int:
-    """Compare exponent vectors lexicographically in symbol order.
-
-    Returns 1 when m1's vector is the larger one.  Walking the sorted pair
-    lists is equivalent to comparing the (mostly zero) dense vectors: at the
-    first symbol where the exponents differ, a present symbol beats an
-    absent one.
-    """
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1 == s2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif s1 < s2:
-            return 1
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
-
-
-_MONOMIAL_KEY = cmp_to_key(_compare_monomials)
+    exponents = dict(m1)
+    for s, e in m2:
+        exponents[s] = exponents.get(s, 0) + e
+    return tuple(sorted(exponents.items()))
 
 
 def _render_monomial(mono: Monomial, coeff: int) -> str:
@@ -252,8 +204,12 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order, leading monomial first."""
+        # the key reverses the symbol order, so a larger exponent vector, in
+        # which a present symbol beats an absent one, is a larger key
         return sorted(
-            self._terms.items(), key=lambda t: _MONOMIAL_KEY(t[0]), reverse=True
+            self._terms.items(),
+            key=lambda t: tuple(((s.kind == "a", -s.row, -s.col), e) for s, e in t[0]),
+            reverse=True,
         )
 
     def symbols(self) -> set[Symbol]:

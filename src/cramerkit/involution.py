@@ -155,8 +155,8 @@ class PairingCertificate:
 
     Invariants (enforced by :func:`validate_certificate`):
     good and pair counts add up to n * n! with exactly n! good elements;
-    each pair's weights render as exact negations; fact2_sum renders "0";
-    fact1_sum equals b_i_times_X0.
+    each pair's two weights, each recomputed from its own element, cancel;
+    fact2_sum renders "0"; fact1_sum equals b_i_times_X0.
     """
 
     n: int
@@ -195,7 +195,10 @@ def _walk(
     Each weight is computed exactly once: w_0 once per permutation (for X_0
     and the fact-1 substitution check), each good element's W, and a bad
     pair's two weights at its smaller element, the partner's from its own
-    values and sign.  With ``collect``, certify when every check passed.
+    values and sign.  Every sign is the parity of an inversion count: the
+    stream's for pi, and one count per bad element for its partner sigma,
+    whose sign must differ from pi's.  With ``collect``, certify when every
+    check passed.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
@@ -210,7 +213,6 @@ def _walk(
         w0 = _weight(sys, values, sgn)
         x0 = x0 + w0
         k = values.index(i)  # [k + 1, sigma] is the image of every bad [j + 1, values]
-        inv = _inversions(values)
         for j, v in enumerate(values):
             e = (j, values)
             if v == i:
@@ -228,14 +230,14 @@ def _walk(
             j2 = sigma.index(i)
             if sigma[k] == i or t == e or (j2, _swapped(sigma, k, j2)) != e:
                 involution_ok = False
-            inv_t = _inversions(sigma)
-            if (inv - inv_t) % 2 != 1:
-                parity_ok = False
+            sgn_t = -1 if _inversions(sigma) % 2 else 1
+            if sgn_t == sgn:
+                parity_ok = False  # the inversion counts differ by an even number
             if t < e:
                 continue  # this pair is weighed at its smaller element t
             pair_count += 1
             w_e = a_i[j] * _weight(sys, values, sgn, j + 1)
-            w_t = a_i[k] * _weight(sys, sigma, -1 if inv_t % 2 else 1, k + 1)
+            w_t = a_i[k] * _weight(sys, sigma, sgn_t, k + 1)
             pair_sum = w_e + w_t
             if pair_sum != 0:
                 cancellation_ok = False
@@ -355,7 +357,9 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
 
     Weights are recomputed from (i, j, pi) on the generic system and
     re-rendered, so a loaded file is checked against the arithmetic itself,
-    not just against its own internal consistency.  The size guard and the
+    not just against its own internal consistency.  Both elements of a pair
+    are weighed, and their weights must cancel: the partner's weight is
+    never taken as the negation of the other.  The size guard and the
     entry counts are checked before the generic system is built.
     """
     _check_guard(cert.n, max_n)
@@ -392,7 +396,10 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
         if t_involution(cert.i, lo) != hi:
             raise ValueError(f"{hi} is not the pairing image of {lo}")
         w = weight_W(sys, cert.i, lo)
-        if render_scalar(w) != w_lo or render_scalar(-w) != w_hi:
+        w2 = weight_W(sys, cert.i, hi)
+        if render_scalar(w) != w_lo or render_scalar(w2) != w_hi:
+            raise ValueError(f"pair weight mismatch at ({lo}, {hi})")
+        if w + w2 != 0:
             raise ValueError(f"pair weights are not exact negations at {lo}")
         _mark(seen, lo)
         _mark(seen, hi)

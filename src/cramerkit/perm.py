@@ -128,13 +128,12 @@ def iter_signed_values(
     """Stream (value sequence, sign) pairs over S_n in lexicographic order.
 
     Low-level form of :func:`enumerate_permutations` for the F_n walk,
-    which would otherwise spend its time constructing objects and
-    re-counting inversions.  The sign comes from the cycle decomposition
-    and is cross-checked against the inversion-scan definition in the tests.
+    which would otherwise spend its time constructing objects.  The sign is
+    the parity of the inversion count, as in :func:`sign`.
     """
     _check_guard(n, max_n)
     return (
-        (values, _cycle_sign(values))
+        (values, -1 if _inversions(values) % 2 else 1)
         for values in itertools.permutations(range(1, n + 1))
     )
 
@@ -149,22 +148,6 @@ def _swapped(v: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 def _inversions(v: tuple[int, ...]) -> int:
     n = len(v)
     return sum(1 for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
-
-
-def _cycle_sign(values: tuple[int, ...]) -> int:
-    # sign = (-1)^(n - number of cycles); O(n) instead of the O(n^2) scan
-    n = len(values)
-    seen = bytearray(n)
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        t = start
-        while not seen[t]:
-            seen[t] = 1
-            t = values[t] - 1
-    return 1 if (n - cycles) % 2 == 0 else -1
 
 
 def _check_guard(n: int, max_n: int) -> None:

@@ -286,6 +286,15 @@ def test_equal_values_have_equal_renderings(p, q):
     assert (p == q) == (p.render() == q.render())
 
 
+@given(polys)
+def test_terms_lead_with_the_largest_exponent_vector(p):
+    # the term order against its definition: dense exponent vectors over
+    # every symbol in symbol order, compared lexicographically
+    order = sorted(SYMBOLS)
+    vectors = [[dict(mono).get(s, 0) for s in order] for mono, _ in p.terms()]
+    assert all(u > v for u, v in zip(vectors, vectors[1:]))
+
+
 # -- evaluation homomorphism ---------------------------------------------------
 
 

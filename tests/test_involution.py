@@ -366,6 +366,21 @@ def test_validate_catches_tampering():
     corrupt(swap_pair)
 
 
+def test_validate_weighs_the_pair_partner(monkeypatch):
+    # a wrong weight for T(e) must be caught even though the certificate's
+    # weight2 is the exact negation of W(e)
+    cert = build_certificate(generic_system(3), 1)
+    hi = cert.bad_pairs[0][1]
+    weigh = involution.weight_W
+
+    def faulty(sys, i, e):
+        return weigh(sys, i, e) + (1 if e == hi else 0)
+
+    monkeypatch.setattr(involution, "weight_W", faulty)
+    with pytest.raises(ValueError):
+        validate_certificate(cert)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

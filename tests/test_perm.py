@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cramerkit.perm import (
     Permutation,
     SizeLimitError,
-    _cycle_sign,
     enumerate_permutations,
     inversions,
     iter_signed_values,
@@ -131,7 +130,7 @@ def test_sign_matches_inversion_parity_exhaustive():
             assert sign(p) == (-1) ** inversions(p)
 
 
-def test_cycle_sign_agrees_with_inversion_scan():
+def test_iter_signed_values_matches_enumeration_and_sign():
     for n in range(1, 7):
         for (values, s), p in zip(iter_signed_values(n), enumerate_permutations(n)):
             assert values == p.values
@@ -216,8 +215,3 @@ def test_transpose_is_self_inverse(p, data):
 def test_position_of_roundtrip_random(p):
     for k in range(1, p.n + 1):
         assert position_of(p, p.values[k - 1]) == k
-
-
-@given(perms())
-def test_cycle_sign_random(p):
-    assert _cycle_sign(p.values) == sign(p)
