@@ -56,6 +56,12 @@ class Symbol(NamedTuple("Symbol", [("kind", str), ("row", int), ("col", int)])):
             raise ValueError("b-symbols carry no column index")
         return super().__new__(cls, kind, row, col)
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Symbol":
+        # the named tuple's _make, which _replace also calls, would build
+        # through tuple.__new__ and skip the checks above
+        return cls(*iterable)
+
     def __str__(self) -> str:
         if self.kind == "a":
             return f"a[{self.row},{self.col}]"

@@ -11,9 +11,15 @@ permutation pi of {1..n} gets n+1 weights:
 Summing a weight over all of S_n gives X_j; the solution of the system is
 the quotient sequence x_j = X_j / X_0.  :func:`_leibniz` adds the same
 signed products grouped by the set of rows that fill the first k columns
-(Laplace expansion with memoization), O(n 2^n) multiplications instead of
-O(n n!); exact arithmetic makes the sum independent of that grouping.  The
-F_n checker in involution.py still streams S_n one permutation at a time.
+(Laplace expansion with memoization), O(n 2^n) multiplications per sum
+instead of O(n n!); exact arithmetic makes the sum independent of that
+grouping.  All n+1 sums come from one sweep that shares their column
+prefixes: X_j continues the partial sums over columns 1..j-1, which X_0
+and every later X_j pass through as well.  A rational system is summed over
+Python ints: each row of [A | b] is scaled by the lcm of its denominators,
+which scales every X_j by the same product D, and each sum is divided by D
+once at the end.  The F_n checker in involution.py still streams S_n one
+permutation at a time.
 
 Systems come in two modes: "rational" (Fraction entries) and "symbolic"
 (polynomial entries; the generic system assigns entry (i,j) the symbol
@@ -27,9 +33,10 @@ the cross-check against the usual orientation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .algebra import Polynomial, Scalar, a_symbol, b_symbol, render_scalar
 from .perm import MAX_N_DEFAULT, Permutation, _check_guard, sign
@@ -164,10 +171,7 @@ def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
     if not 0 <= j <= sys.n:
         raise ValueError(f"j={j} outside 0..{sys.n}")
     _check_guard(sys.n, max_n)
-    cols = list(zip(*sys.entries))  # column j replaced by the right-hand side
-    if j:
-        cols[j - 1] = sys.rhs
-    return _leibniz(cols)
+    return _leibniz(sys, (j,))[0]
 
 
 def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
@@ -177,6 +181,12 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
     equation's residual exactly before returning (the quotient property is
     enforced as a postcondition, not assumed).  Symbolic mode returns the
     (X_j, X_0) pairs; a generic X_0 is never zero.
+
+    >>> sol = solve(rational_system([["1/2", "1/3"], ["1/4", "-1/5"]], ["1", "1/6"]))
+    >>> sol.quotients
+    (Fraction(46, 33), Fraction(10, 11))
+    >>> sol.denominator
+    Fraction(-11, 60)
     """
     xs = all_big_x(sys, max_n=max_n)
     x0 = xs[0]
@@ -193,8 +203,9 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
 
 
 def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:
-    """[X_0, X_1, ..., X_n], each as :func:`big_x` computes it."""
-    return [big_x(sys, j, max_n=max_n) for j in range(sys.n + 1)]
+    """[X_0, X_1, ..., X_n], each as :func:`big_x` computes it, in one sweep."""
+    _check_guard(sys.n, max_n)
+    return _leibniz(sys, range(sys.n + 1))
 
 
 def verify_identity(
@@ -234,27 +245,65 @@ def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) ->
     return prod if sgn > 0 else -prod
 
 
-def _leibniz(cols: Sequence[Sequence[Scalar]]) -> Scalar:
-    # sum over pi in S_n of sign(pi) * prod_k cols[k][pi_k], column by
-    # column: partial maps the bitmask of rows used by the first k columns
-    # to the signed sum of their products.  Putting row r in the next column
-    # adds one inversion per used row above r.
-    n = len(cols)
-    partial = {0: 1}
-    for col in cols:
-        grown: dict = {}
-        for used, acc in partial.items():
-            above = 0
-            for r in range(n - 1, -1, -1):
-                bit = 1 << r
-                if used & bit:
-                    above += 1
-                    continue
-                term = acc * col[r]
-                key = used | bit
-                if key in grown:
-                    grown[key] = grown[key] - term if above & 1 else grown[key] + term
-                else:
-                    grown[key] = -term if above & 1 else term
-        partial = grown
-    return partial[(1 << n) - 1]
+def _leibniz(sys: LinearSystem, js: Sequence[int]) -> list[Scalar]:
+    # [X_j for j in js]: the sums over S_n of sign(pi) * prod_k cols[k][pi_k],
+    # where X_0 takes the columns of A and X_j puts b in column j.  The
+    # columns are filled in order (_extend), so X_j starts from the partial
+    # sums over columns 1..j-1 of A, the same prefix that X_0 and every
+    # later X_j pass through; each prefix is computed once.
+    rows, unscale = _ring_rows(sys)
+    *cols, rhs = zip(*rows)
+    n = sys.n
+    prefixes = [{0: 1}]  # prefixes[k]: columns 1..k of A, by used-row mask
+    for col in cols[: n if 0 in js else max(js) - 1]:
+        prefixes.append(_extend(prefixes[-1], col))
+    sums = []
+    for j in js:
+        if j:
+            partial = prefixes[j - 1]
+            for col in (rhs, *cols[j:]):
+                partial = _extend(partial, col)
+        else:
+            partial = prefixes[n]
+        sums.append(unscale(partial[(1 << n) - 1]))
+    return sums
+
+
+def _ring_rows(sys: LinearSystem) -> tuple[list[tuple], Callable[[Scalar], Scalar]]:
+    # The rows of [A | b] over a ring that needs no division, and the map
+    # from a sum over those rows back to X_j.  A rational row is scaled by
+    # the lcm of its denominators, so its entries are ints; scaling row i
+    # by m_i scales every X_j by the product D of the m_i, whichever column
+    # holds b, and one division by D at the end restores it.  Polynomial
+    # rows already have integer coefficients and pass through.
+    rows = [(*row, b) for row, b in zip(sys.entries, sys.rhs)]
+    if sys.mode == SYMBOLIC:
+        return rows, lambda x: x
+    d = 1
+    for i, row in enumerate(rows):
+        m = math.lcm(*(x.denominator for x in row))
+        rows[i] = tuple(x.numerator * (m // x.denominator) for x in row)
+        d *= m
+    return rows, lambda x: Fraction(x, d)
+
+
+def _extend(partial: dict, col: Sequence[Scalar]) -> dict:
+    # One column step: partial maps the bitmask of rows used by the columns
+    # filled so far to the signed sum of their products; put each free row
+    # in the next column.  That adds one inversion per used row above it.
+    rows = [(1 << r, x) for r, x in reversed(list(enumerate(col)))]
+    grown: dict = {}
+    for used, acc in partial.items():
+        odd = False
+        for bit, x in rows:
+            if used & bit:
+                odd = not odd
+                continue
+            key = used | bit
+            term = acc * x
+            old = grown.get(key)
+            if old is None:
+                grown[key] = -term if odd else term
+            else:
+                grown[key] = old - term if odd else old + term
+    return grown

@@ -114,6 +114,17 @@ def test_symbol_validation(kwargs):
         Symbol(**kwargs)
 
 
+def test_symbol_replace_and_make_validate():
+    with pytest.raises(ValueError):
+        Symbol("a", 1, 1)._replace(row=0)
+    with pytest.raises(ValueError):
+        Symbol._make(("b", 2, 3))
+    assert A12._replace(row=2) == Symbol("a", 2, 2)
+    assert B1._replace(row=2) == B2
+    assert Symbol._make(tuple(A21)) == A21
+    assert type(Symbol._make(("b", 1, 0))) is Symbol
+
+
 # -- polynomial fixtures -------------------------------------------------------
 
 

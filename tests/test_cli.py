@@ -205,12 +205,9 @@ def test_solve_guard_and_override(tmp_path, capsys):
 
 def test_solve_residual_failure_exits_1(tmp_path, capsys, monkeypatch):
     leibniz = cramer._leibniz
-    calls = []
 
-    def corrupt_x1(cols):
-        calls.append(cols)
-        x = leibniz(cols)
-        return x + 1 if len(calls) == 2 else x
+    def corrupt_x1(sys, js):
+        return [x + 1 if j == 1 else x for j, x in zip(js, leibniz(sys, js))]
 
     monkeypatch.setattr(cramer, "_leibniz", corrupt_x1)
     path = write_doc(tmp_path, "s.json", rational_doc([[1, 1], [1, -1]], [3, 1]))
@@ -249,15 +246,15 @@ def test_verify_identity_computes_x_once(capsys, monkeypatch):
     leibniz = cramer._leibniz
     calls = []
 
-    def counting(cols):
-        calls.append(cols)
-        return leibniz(cols)
+    def counting(sys, js):
+        calls.append(list(js))
+        return leibniz(sys, js)
 
     monkeypatch.setattr(cramer, "_leibniz", counting)
     code, out, _ = run(capsys, "verify-identity", "--n", "4")
     assert code == EXIT_OK
     assert out.splitlines() == [f"i={i}: PASS" for i in range(1, 5)]
-    assert len(calls) == 5  # X_0..X_4, shared by all four rows
+    assert calls == [[0, 1, 2, 3, 4]]  # one sweep for X_0..X_4, shared by all rows
 
 
 # -- check-involution ---------------------------------------------------------------
@@ -336,6 +333,8 @@ def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
     )
     assert code == EXIT_OK and out.count("PASS") == 6
     assert calls == {"enumerations": 1, "weights": 720, "sums": 0}
+    cramer.solve(cramer.rational_system([[2]], [1]))
+    assert calls["sums"] == 1  # the hook is the one every X_j sum goes through
 
 
 def test_check_involution_failed_check_writes_no_certificate(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cramerkit import cramer
 from cramerkit import (
     LinearSystem,
     SingularSystemError,
@@ -141,8 +142,10 @@ def test_big_x_multilinearity_generic():
 def test_all_big_x_matches_big_x():
     rng = random.Random(101)
     for n in range(1, 5):
-        num = random_int_system(rng, n)
-        assert all_big_x(num) == [big_x(num, j) for j in range(n + 1)]
+        for num in (random_int_system(rng, n), random_fraction_system(rng, n)):
+            xs = all_big_x(num)
+            assert xs == [big_x(num, j) for j in range(n + 1)]
+            assert all(type(x) is Fraction for x in xs)
         gs = generic_system(n)
         assert all_big_x(gs) == [big_x(gs, j) for j in range(n + 1)]
 
@@ -156,16 +159,43 @@ def _entries(entry):
     )
 
 
+#: distinct primes, so the row denominators are coprime and the row scales
+#: multiply up to about 10**30 at n = 5
+_PRIMES = (999983, 999979, 999961, 999959, 999953)
+
+
+@st.composite
+def _large_denominator_systems(draw):
+    # row i of [A | b] has entries k / d_i for a row prime d_i, some of them
+    # reducing; one row may be zero or a multiple of another (singular)
+    n = draw(st.integers(1, 5))
+    primes = draw(st.permutations(_PRIMES))
+    numerators = st.integers(-10**6, 10**6)
+    rows = []
+    for d in primes[:n]:
+        ks = draw(st.lists(numerators, min_size=n + 1, max_size=n + 1))
+        rows.append([Fraction(k, d) for k in ks])
+    r = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(("full", "zero row", "multiple row")))
+    if shape == "zero row":
+        rows[r] = [Fraction(0)] * (n + 1)
+    elif shape == "multiple row":
+        factor = Fraction(draw(numerators), draw(st.sampled_from(_PRIMES)))
+        rows[r] = [x * factor for x in rows[(r + 1) % n]]
+    return rational_system([row[:n] for row in rows], [row[n] for row in rows])
+
+
 _systems = st.one_of(
     _entries(st.integers(-9, 9)).map(lambda ab: rational_system(*ab)),
     _entries(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))).map(
         lambda ab: rational_system(*ab)
     ),
     st.integers(1, 4).map(generic_system),
+    _large_denominator_systems(),
 )
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(_systems)
 def test_all_big_x_is_the_signed_sum_over_s_n(sys):
     # the paper's definition, summed one permutation at a time
@@ -179,8 +209,31 @@ def test_all_big_x_is_the_signed_sum_over_s_n(sys):
     assert xs == expected
     assert [render_scalar(x) for x in xs] == [render_scalar(x) for x in expected]
     assert all(type(x) is type(sys.zero) for x in xs)
-    oracle = bareiss_det if sys.mode == "rational" else cofactor_det
-    assert xs[0] == oracle(sys)
+    assert xs[0] == cofactor_det(sys)
+    if sys.mode == "rational":
+        assert xs[0] == bareiss_det(sys)
+
+
+def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
+    # the rational kernel multiplies ints only (rows scaled by the lcm of
+    # their denominators), and all n + 1 sums share their column prefixes:
+    # n steps for X_0 plus n - j + 1 for each X_j, 14 at n = 4, not (n+1)*n
+    extend = cramer._extend
+    steps = []
+
+    def checked(partial, col):
+        grown = extend(partial, col)
+        steps.append({type(x) for x in (*partial.values(), *col, *grown.values())})
+        return grown
+
+    monkeypatch.setattr(cramer, "_extend", checked)
+    sys = rational_system([["1/2", "2/3"], ["-3/4", "5/7"]], ["1/6", "-4/5"])
+    assert solve(sys).quotients == (Fraction(137, 180), Fraction(-77, 240))
+    assert steps and all(kinds == {int} for kinds in steps)
+    steps.clear()
+    all_big_x(random_fraction_system(random.Random(17), 4))
+    assert len(steps) == 4 + 4 * 5 // 2
+    assert all(kinds == {int} for kinds in steps)
 
 
 # -- solving -------------------------------------------------------------------
