@@ -1,4 +1,5 @@
-"""Command-line surface: solve, verify-identity, check-involution, det.
+"""Command-line surface: solve, verify-identity, check-involution, det,
+validate-certificate.
 
 Input documents are JSON::
 
@@ -10,7 +11,8 @@ Rational entries cross the boundary as strings ("p/q" or an integer
 literal; plain JSON integers are also accepted) so values stay exact
 bit-for-bit -- JSON floats are rejected outright.  A document with
 ``"mode": "symbolic"`` omits A and b and denotes the generic system on
-symbols a[i,j] / b[i].
+symbols a[i,j] / b[i].  ``validate-certificate`` reads a certificate
+written by ``check-involution --emit-certificate`` and audits it.
 
 Exit codes: 0 success / all checks pass, 1 a check failed or output could
 not be written, 2 input or usage error, 3 singular system, 4 size guard
@@ -40,7 +42,12 @@ from .cramer import (
     rational_system,
     solve,
 )
-from .involution import _walk, certificate_to_dict
+from .involution import (
+    _walk,
+    certificate_from_dict,
+    certificate_to_dict,
+    validate_certificate,
+)
 from .oracle import COFACTOR_MAX_N, bareiss_det, cofactor_det
 from .perm import MAX_N_DEFAULT, SizeLimitError, _check_guard
 
@@ -136,56 +143,43 @@ def _parse_rational(value: object) -> Fraction:
     raise InputError(f"rational entries must be strings or integers, got {value!r}")
 
 
-def _load_document(path: str) -> InputDocument:
+def _load_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad syntax or UTF-8, or an over-long integer
+    except (ValueError, RecursionError) as exc:  # syntax, UTF-8, long int, nesting
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_input_document(data)
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_solve(args) -> int:
-    doc = _load_document(args.input)
+    doc = parse_input_document(_load_json(args.input))
     _check_guard(doc.n, args.max_n)
     system = doc.to_system()
     sol = solve(system, max_n=args.max_n)
+    numerators = [render_scalar(x) for x in sol.numerators]
+    denominator = render_scalar(sol.denominator)
     if system.mode == RATIONAL:
-        quotients = [str(q) for q in sol.quotients]
-        if args.json:
-            payload = {
-                "mode": RATIONAL,
-                "n": system.n,
-                "x": quotients,
-                "numerators": [str(x) for x in sol.numerators],
-                "denominator": str(sol.denominator),
-            }
-            print(json.dumps(payload))
-        else:
-            for j, q in enumerate(quotients, start=1):
-                print(f"x{j} = {q}")
+        x = lines = [str(q) for q in sol.quotients]
     else:
-        pairs = [
-            {"numerator": render_scalar(num), "denominator": render_scalar(den)}
-            for num, den in sol.quotients
-        ]
-        if args.json:
-            payload = {
-                "mode": SYMBOLIC,
-                "n": system.n,
-                "x": pairs,
-                "numerators": [render_scalar(x) for x in sol.numerators],
-                "denominator": render_scalar(sol.denominator),
-            }
-            print(json.dumps(payload))
-        else:
-            for j, pair in enumerate(pairs, start=1):
-                print(f"x{j} = ({pair['numerator']}) / ({pair['denominator']})")
+        x = [{"numerator": num, "denominator": denominator} for num in numerators]
+        lines = [f"({num}) / ({denominator})" for num in numerators]
+    if args.json:
+        payload = {
+            "mode": system.mode,
+            "n": system.n,
+            "x": x,
+            "numerators": numerators,
+            "denominator": denominator,
+        }
+        print(json.dumps(payload))
+    else:
+        for j, line in enumerate(lines, start=1):
+            print(f"x{j} = {line}")
     return EXIT_OK
 
 
@@ -213,7 +207,7 @@ def _cmd_check_involution(args) -> int:
         raise InputError(f"--i {args.i} outside 1..{args.n}")
     system = generic_system(args.n)
     f1, f2, cert = _walk(
-        system, args.i, max_n=args.max_n, collect=bool(args.emit_certificate)
+        system, args.i, max_n=args.max_n, collect=args.emit_certificate is not None
     )
 
     def line(label: str, ok: bool) -> bool:
@@ -228,7 +222,7 @@ def _cmd_check_involution(args) -> int:
     all_ok &= line("cancellation (pair weights sum to zero)", f2.cancellation_ok)
     all_ok &= line("fact2 aggregate (bad sum = 0)", f2.aggregate_ok)
 
-    if args.emit_certificate:
+    if args.emit_certificate is not None:
         if cert is None:
             print("certificate not written: a check failed", file=sys.stderr)
             return EXIT_FAIL
@@ -244,7 +238,7 @@ def _cmd_check_involution(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    doc = _load_document(args.input)
+    doc = parse_input_document(_load_json(args.input))
     if args.method == "bareiss" and doc.mode != RATIONAL:
         raise InputError("bareiss applies to rational documents only")
     if doc.mode == SYMBOLIC:
@@ -272,6 +266,26 @@ def _cmd_det(args) -> int:
     if any(v != values[0] for v in values[1:]):
         print("determinant methods disagree", file=sys.stderr)
         return EXIT_FAIL
+    return EXIT_OK
+
+
+def _cmd_validate_certificate(args) -> int:
+    data = _load_json(args.input)
+    try:
+        cert = certificate_from_dict(data)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    try:
+        validate_certificate(cert, max_n=args.max_n)
+    except SizeLimitError:
+        raise
+    except ValueError as exc:
+        print(f"certificate rejected: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    print(
+        f"n={cert.n} i={cert.i}: certificate valid "
+        f"(good={len(cert.good)} pairs={len(cert.bad_pairs)})"
+    )
     return EXIT_OK
 
 
@@ -322,6 +336,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["leibniz", "cofactor", "bareiss"])
     add_max_n(p)
     p.set_defaults(func=_cmd_det)
+
+    p = sub.add_parser(
+        "validate-certificate",
+        help="audit a certificate written by check-involution --emit-certificate",
+    )
+    p.add_argument("--input", required=True, metavar="FILE")
+    add_max_n(p)
+    p.set_defaults(func=_cmd_validate_certificate)
 
     return parser
 

@@ -76,7 +76,8 @@ def weight_W(sys: LinearSystem, i: int, e: FElement) -> Scalar:
     """a[i, e.j] times the w_j weight of e.p (canonical scalar)."""
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
-    return sys.entry(i, e.j) * weight_wj(sys, e.j, e.p)
+    w = weight_wj(sys, e.j, e.p)  # rejects a wrong-size e.p before the a[i, j] lookup
+    return sys.entry(i, e.j) * w
 
 
 def is_good(i: int, e: FElement) -> bool:

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cramerkit import cli, cramer, involution
-from cramerkit import certificate_from_dict, validate_certificate
+from cramerkit import (
+    build_certificate,
+    certificate_from_dict,
+    certificate_to_dict,
+    generic_system,
+    validate_certificate,
+)
 from cramerkit.cli import (
     EXIT_FAIL,
     EXIT_GUARD,
@@ -99,6 +105,16 @@ def test_overlong_numbers_are_input_errors(tmp_path, capsys):
     for path in (write_doc(tmp_path, "d.json", doc), long_int, not_utf8):
         code, _, err = run(capsys, "solve", "--input", str(path))
         assert code == EXIT_INPUT and err.startswith("error:"), path
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    for command in (["solve"], ["det"], ["validate-certificate"]):
+        code, _, err = run(capsys, *command, "--input", str(path))
+        assert code == EXIT_INPUT and err.startswith("error:"), command
+        assert "Traceback" not in err
 
 
 def test_document_roundtrip_by_value():
@@ -307,6 +323,17 @@ def test_check_involution_unwritable_certificate(tmp_path, capsys):
     assert "cannot write certificate" in err
 
 
+def test_check_involution_empty_certificate_path(capsys):
+    # an empty path is a path that cannot be opened, not an absent flag
+    code, _, err = run(
+        capsys,
+        "check-involution", "--n", "2", "--i", "1",
+        "--emit-certificate", "",
+    )
+    assert code == EXIT_FAIL
+    assert "cannot write certificate" in err
+
+
 def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
     # one enumeration of S_5 and (n + 1) * n! = 720 weight evaluations:
     # w_0 once per permutation plus each element of F_5 once, and X_0 comes
@@ -432,6 +459,91 @@ def test_symbolic_guard_before_building_the_system(tmp_path, capsys, monkeypatch
     assert code == EXIT_INPUT
 
 
+# -- validate-certificate ------------------------------------------------------------
+
+
+def certificate_text(n, i):
+    return json.dumps(
+        certificate_to_dict(build_certificate(generic_system(n), i)), indent=2
+    )
+
+
+def _edited(mutate):
+    def edit(text):
+        data = json.loads(text)
+        mutate(data)
+        return json.dumps(data)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, expected, prefix",
+    [
+        (lambda text: text, EXIT_OK, "n=2 i=1: certificate valid (good=2 pairs=1)"),
+        (
+            _edited(lambda d: d["good"][0].update(weight="0")),
+            EXIT_FAIL, "certificate rejected: good weight mismatch",
+        ),
+        (
+            _edited(lambda d: d["good"][0].update(j=3, pi=[3, 2, 1])),
+            EXIT_FAIL, "certificate rejected: permutation size 3",
+        ),
+        (lambda text: text[: len(text) // 2], EXIT_INPUT, "error: invalid JSON"),
+        (_edited(lambda d: d.pop("fact2_sum")), EXIT_INPUT, "error: malformed"),
+        (_edited(lambda d: d.update(n=600)), EXIT_GUARD, "error: n=600"),
+    ],
+    ids=["untouched", "weight", "long-pi", "truncated", "missing-key", "n-600"],
+)
+def test_validate_certificate_exit_codes(
+    tmp_path, capsys, monkeypatch, edit, expected, prefix
+):
+    generic = involution.generic_system
+
+    def guarded(n):
+        if n > 4:
+            raise AssertionError(f"generic_system({n}) built before the size guard")
+        return generic(n)
+
+    monkeypatch.setattr(involution, "generic_system", guarded)
+    path = tmp_path / "cert.json"
+    path.write_text(edit(certificate_text(2, 1)), encoding="utf-8")
+    code, out, err = run(
+        capsys, "validate-certificate", "--input", str(path), "--max-n", "4"
+    )
+    assert code == expected
+    assert (out if expected == EXIT_OK else err).startswith(prefix)
+    assert (out + err).count("\n") == 1 and "Traceback" not in err
+
+
+def test_emitted_certificates_validate_from_the_cli(tmp_path, capsys, monkeypatch):
+    # every row up to n=4 goes through check-involution --emit-certificate and
+    # then validate-certificate; the audit runs with the checker's walk and
+    # permutation stream disabled, so it shares neither with the checker
+    def disabled(*args, **kwargs):
+        raise AssertionError("the auditor reached the checker's walk")
+
+    for n in range(1, 5):
+        for i in range(1, n + 1):
+            path = str(tmp_path / f"pairing_n{n}_i{i}.json")
+            code, _, _ = run(
+                capsys,
+                "check-involution", "--n", str(n), "--i", str(i),
+                "--emit-certificate", path,
+            )
+            assert code == EXIT_OK
+            with monkeypatch.context() as m:
+                m.setattr(involution, "_walk", disabled)
+                m.setattr(involution, "iter_signed_values", disabled)
+                m.setattr(cli, "_walk", disabled)
+                code, out, _ = run(capsys, "validate-certificate", "--input", path)
+            assert code == EXIT_OK
+            good, pairs = math.factorial(n), (n - 1) * math.factorial(n) // 2
+            assert out == (
+                f"n={n} i={i}: certificate valid (good={good} pairs={pairs})\n"
+            )
+
+
 # -- exit codes for any document ----------------------------------------------------
 
 
@@ -472,8 +584,43 @@ def _near_valid_documents(draw):
     return doc
 
 
+_CERTIFICATES = [certificate_text(n, i) for n in range(1, 4) for i in range(1, n + 1)]
+
+
+@st.composite
+def _near_valid_certificates(draw):
+    # a real certificate for n <= 3 with at most one flaw
+    flaw = draw(
+        st.sampled_from(["none", "key", "value", "pop", "weight", "pi", "n"])
+    )
+    cert = json.loads(draw(st.sampled_from(_CERTIFICATES)))
+    entry = draw(st.sampled_from(cert["good"] + cert["bad_pairs"]))
+    target = draw(st.sampled_from([cert, entry]))
+    key = draw(st.sampled_from(sorted(target)))
+    if flaw == "key":
+        del target[key]
+    elif flaw == "value":
+        target[key] = draw(_json_values)
+    elif flaw == "pop":
+        entries = [es for es in (cert["good"], cert["bad_pairs"]) if es]
+        draw(st.sampled_from(entries)).pop()
+    elif flaw == "weight":
+        w = entry["weight"]
+        edits = st.sampled_from(["0", "-" + w, w + " + 1"]) | st.text(max_size=6)
+        entry["weight"] = draw(edits)
+    elif flaw == "pi":  # a good entry still good, with pi and j past n
+        good = draw(st.sampled_from(cert["good"]))
+        pi = good["pi"]
+        pi.append(pi[good["j"] - 1])
+        pi[good["j"] - 1] = good["j"] = len(pi)
+    elif flaw == "n":
+        cert["n"] = 600
+    return cert
+
+
 _documents = st.one_of(
     _near_valid_documents().map(json.dumps),
+    _near_valid_certificates().map(json.dumps),
     _json_values.map(json.dumps),
     st.text(max_size=20),
 )
@@ -482,6 +629,7 @@ _FUZZED_COMMANDS = [
     ["solve", "--json"],
     ["det"],
     *(["det", "--method", m] for m in ("leibniz", "cofactor", "bareiss")),
+    ["validate-certificate"],
 ]
 
 
@@ -517,3 +665,15 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["x1 = 2", "x2 = 1"]
+    cert = tmp_path / "cert.json"
+    cert.write_text(certificate_text(2, 1), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cramerkit", "validate-certificate", "--input",
+         str(cert)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(tmp_path),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "n=2 i=1: certificate valid (good=2 pairs=1)\n"

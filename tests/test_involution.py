@@ -381,6 +381,15 @@ def test_validate_weighs_the_pair_partner(monkeypatch):
         validate_certificate(cert)
 
 
+def test_validate_rejects_a_permutation_longer_than_the_system():
+    # a good entry whose pi and j run past n must be refused as a ValueError,
+    # not by an IndexError from the a[i, j] lookup
+    data = certificate_to_dict(build_certificate(generic_system(2), 1))
+    data["good"][0] = {"j": 3, "pi": [3, 2, 1], "weight": "x"}
+    with pytest.raises(ValueError, match="permutation size 3 != system size 2"):
+        validate_certificate(certificate_from_dict(data))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
