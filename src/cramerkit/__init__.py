@@ -17,6 +17,7 @@ from .algebra import (
 )
 from .cramer import (
     LinearSystem,
+    ResidualError,
     SingularSystemError,
     Solution,
     big_x,
@@ -63,6 +64,7 @@ __all__ = [
     "b_symbol",
     "render_scalar",
     "LinearSystem",
+    "ResidualError",
     "SingularSystemError",
     "Solution",
     "big_x",

@@ -48,6 +48,8 @@ class Symbol(NamedTuple("Symbol", [("kind", str), ("row", int), ("col", int)])):
     def __new__(cls, kind: str, row: int, col: int = 0) -> "Symbol":
         if kind not in ("a", "b"):
             raise ValueError(f"symbol kind must be 'a' or 'b', got {kind!r}")
+        if not (_is_int(row) and _is_int(col)):
+            raise TypeError(f"symbol row and col must be ints, got {row!r}, {col!r}")
         if row < 1:
             raise ValueError(f"symbol row must be >= 1, got {row}")
         if kind == "a" and col < 1:
@@ -81,10 +83,24 @@ Monomial = tuple[tuple[Symbol, int], ...]
 
 
 def make_monomial(exponents: Mapping[Symbol, int]) -> Monomial:
-    """Canonicalize a symbol -> exponent map (zero exponents dropped)."""
-    for sym, exp in exponents.items():
+    """Canonicalize a symbol -> exponent map (zero exponents dropped).
+
+    Keys must be Symbols and exponents ints >= 0.
+    """
+    return _canonical_monomial(exponents.items())
+
+
+def _canonical_monomial(pairs: Iterable[tuple[Symbol, int]]) -> Monomial:
+    # check each (symbol, exponent) pair, then merge repeated symbols
+    exponents: dict = {}
+    for sym, exp in pairs:
+        if not isinstance(sym, Symbol):
+            raise TypeError(f"monomial keys must be Symbols, got {sym!r}")
+        if not _is_int(exp):
+            raise TypeError(f"exponent of {sym} must be an int, got {exp!r}")
         if exp < 0:
             raise ValueError(f"negative exponent {exp} for {sym}")
+        exponents[sym] = exponents.get(sym, 0) + exp
     return tuple(sorted((s, e) for s, e in exponents.items() if e != 0))
 
 
@@ -116,8 +132,15 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        data = {m: c for m, c in (terms or {}).items() if c != 0}
-        object.__setattr__(self, "_terms", data)
+        # keys may list a symbol twice, out of order or with exponent 0: each
+        # is canonicalized, and keys that become equal add their coefficients
+        data: dict = {}
+        for mono, coeff in (terms or {}).items():
+            if not _is_int(coeff):
+                raise TypeError(f"coefficients must be ints, got {coeff!r}")
+            m = _canonical_monomial(mono)
+            data[m] = data.get(m, 0) + coeff
+        object.__setattr__(self, "_terms", {m: c for m, c in data.items() if c})
 
     @classmethod
     def _from_owned(cls, terms: dict) -> "Polynomial":
@@ -128,11 +151,13 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls._from_owned({})
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls({(): int(c)})
+        if not _is_int(c):
+            raise TypeError(f"constants must be ints, got {c!r}")
+        return cls._from_owned({(): c} if c else {})
 
     @classmethod
     def from_symbol(cls, sym: Symbol) -> "Polynomial":
@@ -190,7 +215,7 @@ class Polynomial:
     # -- value interface ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -258,9 +283,13 @@ class Polynomial:
 def _coerce(value: "Polynomial | int") -> Polynomial:
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Polynomial.constant(value)
     return NotImplemented  # type: ignore[return-value]
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 Scalar = Union[Fraction, Polynomial]

@@ -270,10 +270,9 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_validate_certificate(args) -> int:
-    data = _load_json(args.input)
-    try:
-        cert = certificate_from_dict(data)
-    except ValueError as exc:
+    try:  # the parsed JSON is freed before the audit starts
+        cert = certificate_from_dict(_load_json(args.input))
+    except ValueError as exc:  # InputError from the loader keeps its message
         raise InputError(str(exc)) from exc
     try:
         validate_certificate(cert, max_n=args.max_n)

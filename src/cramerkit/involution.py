@@ -39,7 +39,7 @@ from .perm import (
     MAX_N_DEFAULT,
     Permutation,
     _check_guard,
-    _inversions,
+    _sign,
     _swapped,
     enumerate_permutations,
     iter_signed_values,
@@ -231,7 +231,7 @@ def _walk(
             j2 = sigma.index(i)
             if sigma[k] == i or t == e or (j2, _swapped(sigma, k, j2)) != e:
                 involution_ok = False
-            sgn_t = -1 if _inversions(sigma) % 2 else 1
+            sgn_t = _sign(sigma)
             if sgn_t == sgn:
                 parity_ok = False  # the inversion counts differ by an even number
             if t < e:
@@ -362,6 +362,12 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     are weighed, and their weights must cancel: the partner's weight is
     never taken as the negation of the other.  The size guard and the
     entry counts are checked before the generic system is built.
+
+    The canonical order proves that F_n is covered once: good entries and
+    the pairs' smaller elements lo strictly increase, so each are distinct;
+    good and bad are disjoint; T(lo) = hi and T(hi) = lo, so hi_a = hi_b
+    means lo_a = lo_b, and hi_a = lo_b means lo_a < hi_a = lo_b < hi_b = lo_a.
+    The n * n! listed elements are thus distinct: all of F_n, by the counts.
     """
     _check_guard(cert.n, max_n)
     fact = math.factorial(cert.n)
@@ -371,15 +377,17 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
         raise ValueError("good + 2 * pairs must cover all n * n! elements")
     sys = generic_system(cert.n)
 
-    seen: set[tuple] = set()
+    prev: tuple = ()  # the sort key of the previous entry
     total = sys.zero
     for e, w in cert.good:
         if not is_good(cert.i, e):
             raise ValueError(f"{e} listed as good but is bad")
+        if not prev < e.sort_key():
+            raise ValueError(f"good entry {e} not in canonical order")
+        prev = e.sort_key()
         recomputed = weight_W(sys, cert.i, e)
         if render_scalar(recomputed) != w:
             raise ValueError(f"good weight mismatch at {e}")
-        _mark(seen, e)
         total = total + recomputed
     if render_scalar(total) != cert.fact1_sum:
         raise ValueError("fact1_sum does not match the good weights")
@@ -389,32 +397,23 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     if cert.fact1_sum != cert.b_i_times_x0:
         raise ValueError("fact1_sum != b_i_times_X0")
 
+    prev = ()
     for lo, hi, w_lo, w_hi in cert.bad_pairs:
         if is_good(cert.i, lo) or is_good(cert.i, hi):
             raise ValueError(f"pair ({lo}, {hi}) contains a good element")
-        if not lo.sort_key() < hi.sort_key():
+        if not prev < lo.sort_key() < hi.sort_key():
             raise ValueError(f"pair ({lo}, {hi}) not in canonical order")
-        if t_involution(cert.i, lo) != hi:
-            raise ValueError(f"{hi} is not the pairing image of {lo}")
+        prev = lo.sort_key()
+        if t_involution(cert.i, lo) != hi or t_involution(cert.i, hi) != lo:
+            raise ValueError(f"{lo} and {hi} are not each other's pairing image")
         w = weight_W(sys, cert.i, lo)
         w2 = weight_W(sys, cert.i, hi)
         if render_scalar(w) != w_lo or render_scalar(w2) != w_hi:
             raise ValueError(f"pair weight mismatch at ({lo}, {hi})")
         if w + w2 != 0:
             raise ValueError(f"pair weights are not exact negations at {lo}")
-        _mark(seen, lo)
-        _mark(seen, hi)
     if cert.fact2_sum != "0":
         raise ValueError(f'fact2_sum must render "0", got {cert.fact2_sum!r}')
-    if len(seen) != cert.n * fact:
-        raise ValueError("certificate does not cover F_n exactly once")
-
-
-def _mark(seen: set, e: FElement) -> None:
-    key = e.sort_key()
-    if key in seen:
-        raise ValueError(f"{e} appears twice in the certificate")
-    seen.add(key)
 
 
 def _permutation(values) -> Permutation:

@@ -95,7 +95,7 @@ def inversions(p: Permutation) -> int:
 
 def sign(p: Permutation) -> int:
     """+1 for an even number of inversions, -1 for an odd number."""
-    return -1 if inversions(p) % 2 else 1
+    return _sign(p.values)
 
 
 def position_of(p: Permutation, value: int) -> int:
@@ -132,10 +132,7 @@ def iter_signed_values(
     the parity of the inversion count, as in :func:`sign`.
     """
     _check_guard(n, max_n)
-    return (
-        (values, -1 if _inversions(values) % 2 else 1)
-        for values in itertools.permutations(range(1, n + 1))
-    )
+    return ((v, _sign(v)) for v in itertools.permutations(range(1, n + 1)))
 
 
 def _swapped(v: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -146,8 +143,11 @@ def _swapped(v: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 
 
 def _inversions(v: tuple[int, ...]) -> int:
-    n = len(v)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
+    return sum(1 for x, y in itertools.combinations(v, 2) if x > y)
+
+
+def _sign(v: tuple[int, ...]) -> int:
+    return -1 if _inversions(v) % 2 else 1
 
 
 def _check_guard(n: int, max_n: int) -> None:

@@ -125,6 +125,72 @@ def test_symbol_replace_and_make_validate():
     assert type(Symbol._make(("b", 1, 0))) is Symbol
 
 
+# -- canonical construction ---------------------------------------------------
+
+
+def test_constructor_canonicalizes_keys():
+    # keys out of order, with a zero exponent or with a repeated symbol take
+    # the canonical form, so equal values compare, hash and render alike
+    swapped = Polynomial({((B1, 1), (A11, 1)): 1})
+    assert swapped == term(1, A11, B1)
+    assert hash(swapped) == hash(term(1, A11, B1))
+    assert (swapped - term(1, A11, B1)).render() == "0"
+    assert Polynomial({((A11, 0),): 5}) == 5
+    assert Polynomial({((A11, 0),): 5}).render() == "5"
+    assert Polynomial({((A11, 1), (A11, 1)): 1}).render() == "a[1,1]^2"
+    # keys that become equal add their coefficients
+    assert Polynomial({((B1, 1), (A11, 1)): 2, ((A11, 1), (B1, 1)): -2}).is_zero
+    assert Polynomial.constant(0) == Polynomial.zero() == Polynomial({(): 0})
+
+
+raw_monomials = st.lists(
+    st.tuples(st.sampled_from(SYMBOLS), st.integers(0, 2)), max_size=4
+).map(tuple)
+
+
+@given(st.dictionaries(raw_monomials, coefficients, max_size=4))
+def test_raw_keys_mean_the_product_of_their_factors(terms):
+    expected = Polynomial.zero()
+    for mono, coeff in terms.items():
+        product = Polynomial.constant(coeff)
+        for s, e in mono:
+            for _ in range(e):
+                product = product * sym(s)
+        expected = expected + product
+    p = Polynomial(terms)
+    assert p == expected
+    assert (p.render(), hash(p)) == (expected.render(), hash(expected))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Polynomial({(): Fraction(1, 2)}),
+        lambda: Polynomial({((A11, 1),): True}),
+        lambda: Polynomial.constant(Fraction(1, 2)),
+        lambda: Polynomial({((("a", 1, 1), 1),): 1}),
+        lambda: make_monomial({A11: 2.0}),
+        lambda: make_monomial({A11: True}),
+        lambda: make_monomial({("a", 1, 1): 1}),
+        lambda: Symbol("a", True, 1),
+        lambda: Symbol("a", 1, 1.0),
+        lambda: Symbol("b", "1"),
+    ],
+    ids=[
+        "fraction-coeff", "bool-coeff", "fraction-constant", "tuple-key",
+        "float-exp", "bool-exp", "tuple-symbol", "bool-row", "float-col", "str-row",
+    ],
+)
+def test_non_int_parts_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_negative_exponent_is_rejected_before_merging():
+    with pytest.raises(ValueError):
+        Polynomial({((A11, 2), (A11, -1)): 1})
+
+
 # -- polynomial fixtures -------------------------------------------------------
 
 

@@ -87,6 +87,7 @@ def test_parse_accepts_strings_and_ints():
         {"n": 1, "mode": "rational", "A": [["\u0661"]], "b": ["1"]},
         {"n": 1, "mode": "rational", "A": [["2\n"]], "b": ["1"]},
         {"n": 1, "mode": "rational", "A": [["1" * 5000]], "b": ["1"]},
+        {"n": 1, "mode": "rational", "A": [[True]], "b": ["1"]},
     ],
 )
 def test_parse_rejects_malformed(raw):
@@ -258,6 +259,24 @@ def test_verify_identity_guard(capsys):
     assert code == EXIT_GUARD
 
 
+def test_verify_identity_failure_prints_both_sides(capsys, monkeypatch):
+    report = cramer._identity_report
+
+    def x0_off_by_one(sys, i, xs):
+        # row 2 is checked against X_0 + 1, so its right side gains b[2]
+        return report(sys, i, [xs[0] + 1, *xs[1:]] if i == 2 else xs)
+
+    monkeypatch.setattr(cli, "_identity_report", x0_off_by_one)
+    code, out, _ = run(capsys, "verify-identity", "--n", "2")
+    assert code == EXIT_FAIL
+    assert out.splitlines() == [
+        "i=1: PASS",
+        "i=2: FAIL",
+        "  lhs = a[1,1]*a[2,2]*b[2] - a[1,2]*a[2,1]*b[2]",
+        "  rhs = a[1,1]*a[2,2]*b[2] - a[1,2]*a[2,1]*b[2] + b[2]",
+    ]
+
+
 def test_verify_identity_computes_x_once(capsys, monkeypatch):
     leibniz = cramer._leibniz
     calls = []
@@ -412,6 +431,16 @@ def test_det_symbolic_methods_agree(tmp_path, capsys):
     assert leibniz.count(" + ") + leibniz.count(" - ") == 5  # 3! terms
 
 
+def test_det_methods_disagree_exits_1(tmp_path, capsys, monkeypatch):
+    bareiss = cli.bareiss_det
+    monkeypatch.setattr(cli, "bareiss_det", lambda system: bareiss(system) + 1)
+    path = write_doc(tmp_path, "d.json", rational_doc([[2, 0], [0, 3]], [0, 0]))
+    code, out, err = run(capsys, "det", "--input", path)
+    assert code == EXIT_FAIL
+    assert out.splitlines() == ["leibniz: 6", "cofactor: 6", "bareiss: 7"]
+    assert err == "determinant methods disagree\n"
+
+
 def test_det_single_method(tmp_path, capsys):
     path = write_doc(tmp_path, "d.json", rational_doc([[0, 1], [1, 0]], [0, 0]))
     code, out, _ = run(capsys, "det", "--input", path, "--method", "bareiss")
@@ -489,11 +518,18 @@ def _edited(mutate):
             _edited(lambda d: d["good"][0].update(j=3, pi=[3, 2, 1])),
             EXIT_FAIL, "certificate rejected: permutation size 3",
         ),
+        (
+            _edited(lambda d: d["good"].reverse()),
+            EXIT_FAIL, "certificate rejected: good entry",
+        ),
         (lambda text: text[: len(text) // 2], EXIT_INPUT, "error: invalid JSON"),
         (_edited(lambda d: d.pop("fact2_sum")), EXIT_INPUT, "error: malformed"),
         (_edited(lambda d: d.update(n=600)), EXIT_GUARD, "error: n=600"),
     ],
-    ids=["untouched", "weight", "long-pi", "truncated", "missing-key", "n-600"],
+    ids=[
+        "untouched", "weight", "long-pi", "swapped", "truncated", "missing-key",
+        "n-600",
+    ],
 )
 def test_validate_certificate_exit_codes(
     tmp_path, capsys, monkeypatch, edit, expected, prefix
@@ -587,35 +623,79 @@ def _near_valid_documents(draw):
 _CERTIFICATES = [certificate_text(n, i) for n in range(1, 4) for i in range(1, n + 1)]
 
 
-@st.composite
-def _near_valid_certificates(draw):
-    # a real certificate for n <= 3 with at most one flaw
-    flaw = draw(
-        st.sampled_from(["none", "key", "value", "pop", "weight", "pi", "n"])
-    )
-    cert = json.loads(draw(st.sampled_from(_CERTIFICATES)))
-    entry = draw(st.sampled_from(cert["good"] + cert["bad_pairs"]))
-    target = draw(st.sampled_from([cert, entry]))
-    key = draw(st.sampled_from(sorted(target)))
+_CERTIFICATE_FLAWS = ["none", "key", "value", "pop", "weight", "pi", "n", "swap"]
+
+
+def _add_flaw(cert, flaw, pick):
+    # give a real certificate dict one flaw of the named kind; pick(options,
+    # more) chooses one of the options or, given a strategy more, its value
+    entry = pick(cert["good"] + cert["bad_pairs"])
+    target = pick([cert, entry])
+    key = pick(sorted(target))
     if flaw == "key":
         del target[key]
     elif flaw == "value":
-        target[key] = draw(_json_values)
+        target[key] = pick([None, True], _json_values)
     elif flaw == "pop":
-        entries = [es for es in (cert["good"], cert["bad_pairs"]) if es]
-        draw(st.sampled_from(entries)).pop()
+        pick([es for es in (cert["good"], cert["bad_pairs"]) if es]).pop()
     elif flaw == "weight":
         w = entry["weight"]
-        edits = st.sampled_from(["0", "-" + w, w + " + 1"]) | st.text(max_size=6)
-        entry["weight"] = draw(edits)
+        entry["weight"] = pick(["0", "-" + w, w + " + 1"], st.text(max_size=6))
     elif flaw == "pi":  # a good entry still good, with pi and j past n
-        good = draw(st.sampled_from(cert["good"]))
+        good = pick(cert["good"])
         pi = good["pi"]
         pi.append(pi[good["j"] - 1])
         pi[good["j"] - 1] = good["j"] = len(pi)
     elif flaw == "n":
         cert["n"] = 600
+    elif flaw == "swap":  # two adjacent entries trade places
+        lists = [es for es in (cert["good"], cert["bad_pairs"]) if len(es) > 1]
+        if lists:
+            entries = pick(lists)
+            k = pick(range(len(entries) - 1))
+            entries[k], entries[k + 1] = entries[k + 1], entries[k]
     return cert
+
+
+@st.composite
+def _near_valid_certificates(draw):
+    # a real certificate for n <= 3 with at most one flaw
+    flaw = draw(st.sampled_from(_CERTIFICATE_FLAWS))
+    cert = json.loads(draw(st.sampled_from(_CERTIFICATES)))
+
+    def pick(options, more=None):
+        choice = st.sampled_from(options)
+        return draw(choice if more is None else choice | more)
+
+    return _add_flaw(cert, flaw, pick)
+
+
+# the exit code of each flaw when every choice takes the first or the last option
+_FLAW_EXIT = {
+    "none": EXIT_OK,
+    "key": EXIT_INPUT,
+    "value": EXIT_INPUT,
+    "pop": EXIT_FAIL,
+    "weight": EXIT_FAIL,
+    "pi": EXIT_FAIL,
+    "n": EXIT_GUARD,
+    "swap": EXIT_FAIL,
+}
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("flaw", _CERTIFICATE_FLAWS)
+def test_every_certificate_flaw_has_its_exit_code(tmp_path, capsys, flaw, end):
+    # each flaw kind of the fuzz strategy, applied without hypothesis: every
+    # choice takes the first (or the last) option
+    def pick(options, more=None):
+        return options[end]
+
+    cert = _add_flaw(json.loads(certificate_text(3, 1)), flaw, pick)
+    path = write_doc(tmp_path, "cert.json", cert)
+    code, _, err = run(capsys, "validate-certificate", "--input", path, "--max-n", "4")
+    assert code == _FLAW_EXIT[flaw], err
+    assert "Traceback" not in err
 
 
 _documents = st.one_of(

@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cramerkit
 from cramerkit import cramer
 from cramerkit import (
     LinearSystem,
+    ResidualError,
     SingularSystemError,
     SizeLimitError,
     all_big_x,
@@ -284,6 +286,18 @@ def test_solve_residuals_exact():
                 sys.entry(i, j) * sol.quotients[j - 1] for j in range(1, 4)
             )
             assert lhs == sys.rhs_entry(i)
+
+
+def test_solve_raises_the_exported_residual_error(monkeypatch):
+    leibniz = cramer._leibniz
+
+    def corrupt_x1(sys, js):
+        return [x + 1 if j == 1 else x for j, x in zip(js, leibniz(sys, js))]
+
+    monkeypatch.setattr(cramer, "_leibniz", corrupt_x1)
+    with pytest.raises(ResidualError, match="residual"):
+        solve(rational_system([[1, 1], [1, -1]], [3, 1]))
+    assert "ResidualError" in cramerkit.__all__
 
 
 def test_solve_symbolic_returns_unreduced_pairs():

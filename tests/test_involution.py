@@ -405,3 +405,96 @@ def test_certificate_from_dict_rejects_malformed(mutate):
     mutate(data)
     with pytest.raises(ValueError):
         certificate_from_dict(data)
+
+
+# one flaw per rejection of validate_certificate, on the n = 3, i = 1
+# certificate; a flaw edits the certificate dict and may patch the module
+
+
+def _swap(entries, k):
+    entries[k], entries[k + 1] = entries[k + 1], entries[k]
+
+
+def _flip(pair):
+    pair["j"], pair["j2"] = pair["j2"], pair["j"]
+    pair["pi"], pair["sigma"] = pair["sigma"], pair["pi"]
+    pair["weight"], pair["weight2"] = pair["weight2"], pair["weight"]
+
+
+HI = fel(2, [1, 2, 3])  # the larger element of the first pair
+
+
+def _x0_off_by_one(d, m):
+    # b_i_times_X0 agrees with a big_x that is off by one, fact1_sum does not
+    gs = generic_system(3)
+    d["b_i_times_X0"] = str(gs.rhs_entry(1) * (big_x(gs, 0) + 1))
+    big = involution.big_x
+    m.setattr(involution, "big_x", lambda *args, **kw: big(*args, **kw) + 1)
+
+
+def _partner_off_by_one(d, m):
+    # weight2 agrees with a weight_W that is off by one at HI, so it is no
+    # longer the negation of the first weight
+    d["bad_pairs"][0]["weight2"] = str(weight_W(generic_system(3), 1, HI) + 1)
+    weigh = involution.weight_W
+
+    def off_at_hi(sys, i, e):
+        return weigh(sys, i, e) + (1 if e == HI else 0)
+
+    m.setattr(involution, "weight_W", off_at_hi)
+
+
+def _map_fixes_hi(d, m):
+    # the map sends lo to HI, but HI to itself rather than back to lo
+    t = involution.t_involution
+    m.setattr(involution, "t_involution", lambda i, e: e if e == HI else t(i, e))
+
+
+@pytest.mark.parametrize(
+    "flaw, message",
+    [
+        (lambda d, m: d["good"].pop(), "expected 6 good entries, found 5"),
+        (lambda d, m: d["bad_pairs"].pop(), r"good \+ 2 \* pairs must cover"),
+        (lambda d, m: d["good"][0].update(pi=[2, 1, 3]), "listed as good but is bad"),
+        (lambda d, m: _swap(d["good"], 2), "good entry .* not in canonical order"),
+        (
+            lambda d, m: d["good"].__setitem__(1, d["good"][0]),
+            "good entry .* not in canonical order",
+        ),
+        (lambda d, m: d["good"][0].update(weight="0"), "good weight mismatch"),
+        (lambda d, m: d.update(fact1_sum="0"), "fact1_sum does not match"),
+        (lambda d, m: d.update(b_i_times_X0="0"), "b_i_times_X0 does not match"),
+        (_x0_off_by_one, "fact1_sum != b_i_times_X0"),
+        (
+            lambda d, m: d["bad_pairs"][0].update(j=1, pi=[1, 2, 3]),
+            "contains a good element",
+        ),
+        (lambda d, m: _flip(d["bad_pairs"][0]), "not in canonical order"),
+        (lambda d, m: _swap(d["bad_pairs"], 2), "not in canonical order"),
+        (
+            lambda d, m: d["bad_pairs"].__setitem__(1, d["bad_pairs"][0]),
+            "not in canonical order",
+        ),
+        (
+            lambda d, m: d["bad_pairs"][0].update(j2=3, sigma=[1, 3, 2]),
+            "not each other's pairing image",
+        ),
+        (_map_fixes_hi, "not each other's pairing image"),
+        (lambda d, m: d["bad_pairs"][0].update(weight2="0"), "pair weight mismatch"),
+        (_partner_off_by_one, "not exact negations"),
+        (lambda d, m: d.update(fact2_sum="1"), 'fact2_sum must render "0"'),
+    ],
+    ids=[
+        "good-count", "pair-count", "bad-as-good", "good-swap", "good-repeat",
+        "good-weight", "fact1-sum", "b-times-x0", "fact1-vs-b", "good-in-pair",
+        "pair-flip", "pair-swap", "pair-repeat", "not-image", "not-image-back",
+        "pair-weight", "not-negations", "fact2-sum",
+    ],
+)
+def test_validate_rejects_each_flaw(monkeypatch, flaw, message):
+    data = certificate_to_dict(build_certificate(generic_system(3), 1))
+    first = data["bad_pairs"][0]
+    assert (first["j2"], first["sigma"]) == (HI.j, list(HI.p.values))
+    flaw(data, monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        validate_certificate(certificate_from_dict(data))
