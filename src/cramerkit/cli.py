@@ -15,8 +15,8 @@ symbols a[i,j] / b[i].  ``validate-certificate`` reads a certificate
 written by ``check-involution --emit-certificate`` and audits it.
 
 Exit codes: 0 success / all checks pass, 1 a check failed or output could
-not be written, 2 input or usage error, 3 singular system, 4 size guard
-violation (n > max-n; override with --max-n).
+not be written, 2 input or usage error (an n below 1 among them), 3
+singular system, 4 size guard violation (n > max-n; override with --max-n).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import render_scalar
 from .cramer import (
@@ -65,8 +65,7 @@ class InputError(ValueError):
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     """Parsed form of the JSON input: size, mode, exact entries."""
 
     n: int
@@ -183,8 +182,15 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _check_n(n: int, max_n: int) -> None:
+    # --n below 1 is a usage error; --n above the guard exits 4
+    if n < 1:
+        raise InputError(f"--n must be a positive integer, got {n}")
+    _check_guard(n, max_n)
+
+
 def _cmd_verify_identity(args) -> int:
-    _check_guard(args.n, args.max_n)
+    _check_n(args.n, args.max_n)
     if args.i is not None and not 1 <= args.i <= args.n:
         raise InputError(f"--i {args.i} outside 1..{args.n}")
     indices = [args.i] if args.i is not None else list(range(1, args.n + 1))
@@ -202,7 +208,7 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_check_involution(args) -> int:
-    _check_guard(args.n, args.max_n)
+    _check_n(args.n, args.max_n)
     if not 1 <= args.i <= args.n:
         raise InputError(f"--i {args.i} outside 1..{args.n}")
     system = generic_system(args.n)

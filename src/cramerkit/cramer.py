@@ -34,9 +34,8 @@ the cross-check against the usual orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .algebra import Polynomial, Scalar, a_symbol, b_symbol, render_scalar
 from .perm import MAX_N_DEFAULT, Permutation, _check_guard, sign
@@ -53,29 +52,31 @@ class ResidualError(RuntimeError):
     """A numeric solution failed its exact residual check (an internal fault)."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple("LinearSystem", [("entries", tuple), ("rhs", tuple)])):
     """An n x n system: coefficient rows plus right-hand side, one mode.
 
     ``entries[i][j]`` is the coefficient of unknown j+1 in equation i+1;
     accessors below speak 1-based like the rest of the package.
     """
 
-    entries: tuple[tuple[Scalar, ...], ...]
-    rhs: tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __new__(cls, entries: tuple, rhs: tuple) -> "LinearSystem":
+        n = len(entries)
         if n < 1:
             raise ValueError("system needs at least one equation")
-        if any(len(row) != n for row in self.entries):
+        if any(len(row) != n for row in entries):
             raise ValueError("coefficient matrix must be square")
-        if len(self.rhs) != n:
+        if len(rhs) != n:
             raise ValueError(f"right-hand side must have {n} entries")
-        kinds = {type(x) for row in self.entries for x in row}
-        kinds |= {type(x) for x in self.rhs}
+        kinds = {type(x) for row in (*entries, rhs) for x in row}
         if not (kinds <= {Fraction} or kinds <= {Polynomial}):
             raise ValueError("entries must be all Fraction or all Polynomial")
+        return super().__new__(cls, entries, rhs)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "LinearSystem":
+        return cls(*iterable)  # the tuple's own _make, and _replace, skip __new__
 
     @property
     def n(self) -> int:
@@ -122,8 +123,7 @@ def generic_system(n: int) -> LinearSystem:
     )
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Numerators X_1..X_n, the common denominator X_0, and the quotients.
 
     Rational mode: quotients are reduced Fractions with x_j * X_0 = X_j
@@ -136,8 +136,7 @@ class Solution:
     quotients: tuple
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking row identity i: sum_j a[i,j] X_j = b[i] X_0."""
 
     i: int

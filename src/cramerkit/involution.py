@@ -29,9 +29,8 @@ pair, in a deterministic order, with bit-stable weight renderings -- and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import Scalar, render_scalar
 from .cramer import SYMBOLIC, LinearSystem, _weight, big_x, generic_system, weight_wj
@@ -48,19 +47,22 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
-class FElement:
+class FElement(NamedTuple("FElement", [("j", int), ("p", Permutation)])):
     """An element [j, pi] of F_n: a 1-based position paired with a permutation."""
 
-    j: int
-    p: Permutation
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.j <= self.p.n:
-            raise ValueError(f"j={self.j} outside 1..{self.p.n}")
+    def __new__(cls, j: int, p: Permutation) -> "FElement":
+        if not 1 <= j <= p.n:
+            raise ValueError(f"j={j} outside 1..{p.n}")
+        return super().__new__(cls, j, p)
 
-    def sort_key(self) -> tuple:
-        return (self.j, self.p.values)
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "FElement":
+        return cls(*iterable)  # the tuple's own _make, and _replace, skip __new__
+
+    def __str__(self) -> str:
+        return f"j={self.j} pi={list(self.p.values)}"  # as the certificate writes it
 
 
 def iter_elements(n: int, max_n: int = MAX_N_DEFAULT) -> Iterator[FElement]:
@@ -100,8 +102,7 @@ def t_involution(i: int, e: FElement) -> FElement:
     return FElement(j2, transpose_positions(e.p, e.j, j2))
 
 
-@dataclass(frozen=True)
-class Fact1Report:
+class Fact1Report(NamedTuple):
     """Good-element weight sum vs b[i] * X_0, plus the elementwise form."""
 
     i: int
@@ -113,8 +114,7 @@ class Fact1Report:
     b_i_times_x0: Scalar
 
 
-@dataclass(frozen=True)
-class Fact2Report:
+class Fact2Report(NamedTuple):
     """Bad-element cancellation: involution, parity, pairwise and aggregate."""
 
     i: int
@@ -150,8 +150,7 @@ def check_fact2(
     return _walk(sys, i, max_n)[1]
 
 
-@dataclass(frozen=True)
-class PairingCertificate:
+class PairingCertificate(NamedTuple):
     """Machine-checkable record of the good sum and the bad pairing.
 
     Invariants (enforced by :func:`validate_certificate`):
@@ -319,35 +318,48 @@ def certificate_to_dict(cert: PairingCertificate) -> dict:
     }
 
 
+#: The keys of a certificate, of a good entry and of a bad pair, in file order.
+_CERT_KEYS = ("n", "i", "good", "bad_pairs", "fact1_sum", "b_i_times_X0", "fact2_sum")
+_GOOD_KEYS = ("j", "pi", "weight")
+_PAIR_KEYS = ("j", "pi", "j2", "sigma", "weight", "weight2")
+
+
 def certificate_from_dict(data: dict) -> PairingCertificate:
-    """Parse and shape-check a certificate dict (inverse of to_dict)."""
+    """Parse and shape-check a certificate dict (inverse of to_dict).
+
+    Each object must hold exactly its documented keys, and n must be >= 1.
+    """
     try:
-        n = _expect_int(data["n"], "n")
-        i = _expect_int(data["i"], "i")
-        good = tuple(
-            (
-                FElement(_expect_int(g["j"], "j"), _permutation(g["pi"])),
-                _expect_str(g["weight"], "weight"),
-            )
-            for g in data["good"]
+        n, i, good, bad_pairs, fact1_sum, b_i_times_x0, fact2_sum = _fields(
+            data, _CERT_KEYS, "the certificate"
         )
-        bad_pairs = tuple(
-            (
-                FElement(_expect_int(p["j"], "j"), _permutation(p["pi"])),
-                FElement(_expect_int(p["j2"], "j2"), _permutation(p["sigma"])),
-                _expect_str(p["weight"], "weight"),
-                _expect_str(p["weight2"], "weight2"),
-            )
-            for p in data["bad_pairs"]
-        )
+        n = _expect_int(n, "n")
+        if n < 1:
+            raise TypeError(f"n must be a positive integer, got {n}")
         return PairingCertificate(
             n=n,
-            i=i,
-            good=good,
-            bad_pairs=bad_pairs,
-            fact1_sum=_expect_str(data["fact1_sum"], "fact1_sum"),
-            b_i_times_x0=_expect_str(data["b_i_times_X0"], "b_i_times_X0"),
-            fact2_sum=_expect_str(data["fact2_sum"], "fact2_sum"),
+            i=_expect_int(i, "i"),
+            good=tuple(
+                (
+                    FElement(_expect_int(j, "j"), _permutation(pi)),
+                    _expect_str(w, "weight"),
+                )
+                for j, pi, w in (_fields(g, _GOOD_KEYS, "a good entry") for g in good)
+            ),
+            bad_pairs=tuple(
+                (
+                    FElement(_expect_int(j, "j"), _permutation(pi)),
+                    FElement(_expect_int(j2, "j2"), _permutation(sigma)),
+                    _expect_str(w, "weight"),
+                    _expect_str(w2, "weight2"),
+                )
+                for j, pi, j2, sigma, w, w2 in (
+                    _fields(p, _PAIR_KEYS, "a bad pair") for p in bad_pairs
+                )
+            ),
+            fact1_sum=_expect_str(fact1_sum, "fact1_sum"),
+            b_i_times_x0=_expect_str(b_i_times_x0, "b_i_times_X0"),
+            fact2_sum=_expect_str(fact2_sum, "fact2_sum"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
@@ -363,8 +375,9 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     never taken as the negation of the other.  The size guard and the
     entry counts are checked before the generic system is built.
 
-    The canonical order proves that F_n is covered once: good entries and
-    the pairs' smaller elements lo strictly increase, so each are distinct;
+    The canonical order, the tuple order of the elements (j, pi), proves that
+    F_n is covered once: good entries and the pairs' smaller elements lo
+    strictly increase, so each are distinct;
     good and bad are disjoint; T(lo) = hi and T(hi) = lo, so hi_a = hi_b
     means lo_a = lo_b, and hi_a = lo_b means lo_a < hi_a = lo_b < hi_b = lo_a.
     The n * n! listed elements are thus distinct: all of F_n, by the counts.
@@ -377,14 +390,14 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
         raise ValueError("good + 2 * pairs must cover all n * n! elements")
     sys = generic_system(cert.n)
 
-    prev: tuple = ()  # the sort key of the previous entry
+    prev: tuple = ()  # the previous entry; () sorts before every element
     total = sys.zero
     for e, w in cert.good:
         if not is_good(cert.i, e):
             raise ValueError(f"{e} listed as good but is bad")
-        if not prev < e.sort_key():
+        if not prev < e:
             raise ValueError(f"good entry {e} not in canonical order")
-        prev = e.sort_key()
+        prev = e
         recomputed = weight_W(sys, cert.i, e)
         if render_scalar(recomputed) != w:
             raise ValueError(f"good weight mismatch at {e}")
@@ -401,9 +414,9 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     for lo, hi, w_lo, w_hi in cert.bad_pairs:
         if is_good(cert.i, lo) or is_good(cert.i, hi):
             raise ValueError(f"pair ({lo}, {hi}) contains a good element")
-        if not prev < lo.sort_key() < hi.sort_key():
+        if not prev < lo < hi:
             raise ValueError(f"pair ({lo}, {hi}) not in canonical order")
-        prev = lo.sort_key()
+        prev = lo
         if t_involution(cert.i, lo) != hi or t_involution(cert.i, hi) != lo:
             raise ValueError(f"{lo} and {hi} are not each other's pairing image")
         w = weight_W(sys, cert.i, lo)
@@ -414,6 +427,16 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
             raise ValueError(f"pair weights are not exact negations at {lo}")
     if cert.fact2_sum != "0":
         raise ValueError(f'fact2_sum must render "0", got {cert.fact2_sum!r}')
+
+
+def _fields(obj, keys: tuple, what: str) -> list:
+    # the values of keys in the JSON object obj, which may hold no other key
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = obj.keys() - set(keys)
+    if unknown:
+        raise TypeError(f"unknown keys {sorted(unknown)} in {what}")
+    return [obj[k] for k in keys]
 
 
 def _permutation(values) -> Permutation:

@@ -13,8 +13,7 @@ of the order beyond "all of S_n, exactly once".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 #: Default ceiling for any operation that enumerates S_n.  9 * 9! weight
 #: evaluations is desk-scale; the guard is a policy knob, not a law, so
@@ -26,8 +25,7 @@ class SizeLimitError(ValueError):
     """n falls outside the configured enumeration guard (1 <= n <= max_n)."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple("Permutation", [("values", tuple)])):
     """A bijection of {1, ..., n}, stored as its value sequence.
 
     >>> Permutation((5, 1, 4, 2, 3)).n
@@ -38,17 +36,22 @@ class Permutation:
     ValueError: repeated value in (1, 1)
     """
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.values)
+    def __new__(cls, values: tuple[int, ...]) -> "Permutation":
+        n = len(values)
         if n < 1:
             raise ValueError("a permutation needs at least one value (n >= 1)")
-        for v in self.values:
+        for v in values:
             if not 1 <= v <= n:
-                raise ValueError(f"value {v} outside 1..{n} in {self.values}")
-        if len(set(self.values)) != n:
-            raise ValueError(f"repeated value in {self.values}")
+                raise ValueError(f"value {v} outside 1..{n} in {values}")
+        if len(set(values)) != n:
+            raise ValueError(f"repeated value in {values}")
+        return super().__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Permutation":
+        return cls(*iterable)  # the tuple's own _make, and _replace, skip __new__
 
     @property
     def n(self) -> int:

@@ -525,10 +525,20 @@ def _edited(mutate):
         (lambda text: text[: len(text) // 2], EXIT_INPUT, "error: invalid JSON"),
         (_edited(lambda d: d.pop("fact2_sum")), EXIT_INPUT, "error: malformed"),
         (_edited(lambda d: d.update(n=600)), EXIT_GUARD, "error: n=600"),
+        (
+            _edited(lambda d: d.update(comment="x")),
+            EXIT_INPUT, "error: malformed certificate: unknown keys ['comment']",
+        ),
+        (
+            _edited(lambda d: d["good"][0].update(extra=1)),
+            EXIT_INPUT, "error: malformed certificate: unknown keys ['extra']",
+        ),
+        (_edited(lambda d: d.update(n=0)), EXIT_INPUT, "error: malformed"),
+        (_edited(lambda d: d.update(n=-1)), EXIT_INPUT, "error: malformed"),
     ],
     ids=[
         "untouched", "weight", "long-pi", "swapped", "truncated", "missing-key",
-        "n-600",
+        "n-600", "extra-key", "extra-entry-key", "n-0", "n-minus-1",
     ],
 )
 def test_validate_certificate_exit_codes(
@@ -550,6 +560,34 @@ def test_validate_certificate_exit_codes(
     assert code == expected
     assert (out if expected == EXIT_OK else err).startswith(prefix)
     assert (out + err).count("\n") == 1 and "Traceback" not in err
+
+
+def test_rejection_names_the_entry_as_the_file_writes_it(tmp_path, capsys):
+    data = json.loads(certificate_text(3, 1))
+    data["good"][0], data["good"][1] = data["good"][1], data["good"][0]
+    path = write_doc(tmp_path, "cert.json", data)
+    code, out, err = run(capsys, "validate-certificate", "--input", path)
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == (
+        "certificate rejected: good entry j=1 pi=[1, 2, 3] not in canonical order\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identity", "--n", "0"],
+        ["verify-identity", "--n", "-2"],
+        ["check-involution", "--n", "0", "--i", "1"],
+        ["check-involution", "--n", "-1", "--i", "1", "--max-n", "4"],
+    ],
+    ids=["verify-0", "verify-minus-2", "check-0", "check-minus-1"],
+)
+def test_n_below_one_is_an_input_error(capsys, argv):
+    # the size guard exits 4 only for an n over --max-n
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: --n must be a positive integer, got {argv[2]}\n"
 
 
 def test_emitted_certificates_validate_from_the_cli(tmp_path, capsys, monkeypatch):
@@ -623,7 +661,9 @@ def _near_valid_documents(draw):
 _CERTIFICATES = [certificate_text(n, i) for n in range(1, 4) for i in range(1, n + 1)]
 
 
-_CERTIFICATE_FLAWS = ["none", "key", "value", "pop", "weight", "pi", "n", "swap"]
+_CERTIFICATE_FLAWS = [
+    "none", "key", "value", "pop", "weight", "pi", "n", "swap", "extra",
+]
 
 
 def _add_flaw(cert, flaw, pick):
@@ -654,6 +694,9 @@ def _add_flaw(cert, flaw, pick):
             entries = pick(lists)
             k = pick(range(len(entries) - 1))
             entries[k], entries[k + 1] = entries[k + 1], entries[k]
+    elif flaw == "extra":  # a key outside the documented set
+        unknown = st.text(max_size=4).filter(lambda k: k not in target)
+        target[pick(["extra", "comment"], unknown)] = pick([1, "x"], _json_values)
     return cert
 
 
@@ -680,6 +723,7 @@ _FLAW_EXIT = {
     "pi": EXIT_FAIL,
     "n": EXIT_GUARD,
     "swap": EXIT_FAIL,
+    "extra": EXIT_INPUT,
 }
 
 
@@ -729,6 +773,20 @@ def test_every_document_ends_in_a_documented_exit_code(text):
 
 
 # -- console entry -------------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # every record is a named tuple, so start-up needs neither module
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys, cramerkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_module_entry_point(tmp_path):

@@ -27,7 +27,9 @@ from cramerkit import (
 )
 from cramerkit import involution
 from cramerkit.algebra import a_symbol, b_symbol, make_monomial, Polynomial
+from cramerkit.cramer import rational_system
 from cramerkit.involution import iter_elements
+from cramerkit.perm import Permutation
 
 from _support import random_int_system
 
@@ -55,6 +57,39 @@ def test_felement_validation():
         fel(0, [1, 2])
     with pytest.raises(ValueError):
         fel(3, [1, 2])
+
+
+def test_felement_prints_as_the_certificate_writes_it():
+    e = fel(1, [1, 2, 3])
+    assert str(e) == "j=1 pi=[1, 2, 3]"
+    assert repr(e) == "FElement(j=1, p=Permutation(values=(1, 2, 3)))"
+
+
+def test_felement_order_is_the_canonical_order():
+    # as tuples (j, (values,)), elements sort by j and then by pi's values
+    elements = list(iter_elements(4))
+    random.Random(4).shuffle(elements)
+    assert sorted(elements) == sorted(elements, key=lambda e: (e.j, e.p.values))
+
+
+@pytest.mark.parametrize(
+    "record, field, bad",
+    [
+        (Permutation((1, 2)), "values", (1, 1)),
+        (fel(2, [2, 1]), "j", 3),
+        (rational_system([[1, 2], [3, 4]], [5, 6]), "rhs", ()),
+    ],
+    ids=["Permutation", "FElement", "LinearSystem"],
+)
+def test_records_replace_and_make_validate(record, field, bad):
+    # the named tuple's own _make and _replace would skip the checks in __new__
+    cls = type(record)
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        cls._make(bad if name == field else v for name, v in zip(cls._fields, record))
+    assert cls._make(tuple(record)) == record
+    assert type(record._replace()) is cls
 
 
 def test_iter_elements_counts():
@@ -311,10 +346,10 @@ def test_certificate_counts_n3_i2():
 def test_certificate_pair_order():
     cert = build_certificate(generic_system(3), 1)
     for lo, hi, _, _ in cert.bad_pairs:
-        assert lo.sort_key() < hi.sort_key()
-    keys = [lo.sort_key() for lo, _, _, _ in cert.bad_pairs]
+        assert lo < hi
+    keys = [lo for lo, _, _, _ in cert.bad_pairs]
     assert keys == sorted(keys)
-    good_keys = [e.sort_key() for e, _ in cert.good]
+    good_keys = [e for e, _ in cert.good]
     assert good_keys == sorted(good_keys)
 
 
@@ -404,6 +439,34 @@ def test_certificate_from_dict_rejects_malformed(mutate):
     data = certificate_to_dict(build_certificate(generic_system(2), 1))
     mutate(data)
     with pytest.raises(ValueError):
+        certificate_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda d: d.update(comment="x", b=0),
+            r"unknown keys \['b', 'comment'\] in the certificate",
+        ),
+        (
+            lambda d: d["good"][0].update(extra=1),
+            r"unknown keys \['extra'\] in a good entry",
+        ),
+        (
+            lambda d: d["bad_pairs"][0].update(note=1),
+            r"unknown keys \['note'\] in a bad pair",
+        ),
+        (lambda d: d["good"].__setitem__(0, []), "a good entry must be a JSON object"),
+        (lambda d: d.update(n=0), "n must be a positive integer, got 0"),
+        (lambda d: d.update(n=-1), "n must be a positive integer, got -1"),
+    ],
+    ids=["top-level", "good-entry", "bad-pair", "not-an-object", "n-0", "n-minus-1"],
+)
+def test_certificate_from_dict_names_the_flaw(mutate, message):
+    data = certificate_to_dict(build_certificate(generic_system(2), 1))
+    mutate(data)
+    with pytest.raises(ValueError, match="^malformed certificate: " + message):
         certificate_from_dict(data)
 
 
