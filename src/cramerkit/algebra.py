@@ -10,16 +10,29 @@ Canonical form
 --------------
 * A symbol is a (kind, row, col) tuple, so its hash and its total order are
   the tuple's: every a[...] before every b[...], then by row and column.
-* A monomial is a tuple of (symbol, exponent) pairs, sorted by symbol, with
-  no zero exponents; () is the constant monomial.
-* Polynomial terms are kept in a map monomial -> nonzero coefficient; two
-  polynomials are equal exactly when their canonical representations are
-  identical.
+* At the public surface a monomial is a tuple of (symbol, exponent) pairs,
+  sorted by symbol, with no zero exponents; () is the constant monomial.
+  ``Polynomial(mapping)`` and :func:`make_monomial` take that form, and
+  ``terms()`` returns it.
+* Inside a polynomial a monomial is one packed int.  Each symbol is
+  interned, on first use, as a small index into a process-wide table that
+  only grows; the exponent of symbol k sits in byte k of the int, so the
+  constant monomial is 0 and a product of monomials is one integer
+  addition.  The top bit of each byte is a guard bit: an exponent is at
+  most :data:`MAX_EXPONENT` (127), so adding two fields never carries into
+  the next symbol's byte, and a product that sets a guard bit raises
+  ``OverflowError`` naming the symbol and the ceiling.  Packed keys depend
+  on the order in which this process interned its symbols, so they never
+  leave it: pickling goes through the tuple form, and every output
+  (``terms()``, ``render()``, ``symbols()``) is decoded at the boundary.
+* Polynomial terms are kept in a map packed monomial -> nonzero
+  coefficient; two polynomials are equal exactly when their maps are equal.
 * For rendering, terms are listed with the lexicographically largest
-  exponent vector first (leading-term-first).  That order is a sort key: it
-  maps each symbol to a tuple that orders the symbols in reverse, so at the
-  first difference a present symbol beats an absent one.  The direction
-  is a convention; what matters is that it is fixed, so rendered output is
+  exponent vector first (leading-term-first): the dense vectors of
+  exponents over the symbols present, in symbol order, compared from the
+  smallest symbol on, so at the first difference a present symbol beats
+  an absent one.  The direction is a convention; what matters is that it
+  is fixed and independent of the intern order, so rendered output is
   bit-stable and can be compared as strings.
 
 Rendering: ``-3*a[1,2]*a[2,1]*b[2]`` style -- integer coefficient (omitted
@@ -30,7 +43,9 @@ order, ``^e`` for exponents above 1, terms joined by `` + `` / `` - ``, and
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Fraction
@@ -81,16 +96,46 @@ def b_symbol(row: int) -> Symbol:
 #: A monomial: ((symbol, exponent), ...) sorted by symbol, exponents >= 1.
 Monomial = tuple[tuple[Symbol, int], ...]
 
+#: The largest exponent of one symbol in a monomial: each symbol's exponent
+#: takes one byte of the packed monomial, whose top bit is the guard bit.
+MAX_EXPONENT = 127
+
+_GUARD_BYTE = MAX_EXPONENT + 1
+
+# The intern table: index -> symbol, index -> rendered name, symbol -> index,
+# and the guard bit of every interned symbol's byte.  It only grows; the
+# lock serializes additions, and lookups of known symbols take no lock.
+_SYMBOLS: list[Symbol] = []
+_NAMES: list[str] = []
+_INDEX: dict[Symbol, int] = {}
+_GUARD = 0
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(sym: Symbol) -> int:
+    k = _INDEX.get(sym)
+    if k is None:
+        global _GUARD
+        with _INTERN_LOCK:
+            k = _INDEX.get(sym)
+            if k is None:
+                k = len(_SYMBOLS)
+                _SYMBOLS.append(sym)
+                _NAMES.append(str(sym))
+                _GUARD |= _GUARD_BYTE << (8 * k)
+                _INDEX[sym] = k  # last, so a lock-free reader sees a full entry
+    return k
+
 
 def make_monomial(exponents: Mapping[Symbol, int]) -> Monomial:
     """Canonicalize a symbol -> exponent map (zero exponents dropped).
 
     Keys must be Symbols and exponents ints >= 0.
     """
-    return _canonical_monomial(exponents.items())
+    return tuple(sorted(_exponents(exponents.items()).items()))
 
 
-def _canonical_monomial(pairs: Iterable[tuple[Symbol, int]]) -> Monomial:
+def _exponents(pairs: Iterable[tuple[Symbol, int]]) -> dict:
     # check each (symbol, exponent) pair, then merge repeated symbols
     exponents: dict = {}
     for sym, exp in pairs:
@@ -101,18 +146,37 @@ def _canonical_monomial(pairs: Iterable[tuple[Symbol, int]]) -> Monomial:
         if exp < 0:
             raise ValueError(f"negative exponent {exp} for {sym}")
         exponents[sym] = exponents.get(sym, 0) + exp
-    return tuple(sorted((s, e) for s, e in exponents.items() if e != 0))
+    return {s: e for s, e in exponents.items() if e}
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    exponents = dict(m1)
-    for s, e in m2:
-        exponents[s] = exponents.get(s, 0) + e
-    return tuple(sorted(exponents.items()))
+def _pack(pairs: Iterable[tuple[Symbol, int]]) -> int:
+    # a tuple-form monomial, in any order, as its packed int
+    m = 0
+    for sym, exp in _exponents(pairs).items():
+        if exp > MAX_EXPONENT:
+            raise _overflow(sym, exp)
+        m |= exp << (8 * _intern(sym))
+    return m
 
 
-def _render_monomial(mono: Monomial, coeff: int) -> str:
-    syms = [str(s) if e == 1 else f"{s}^{e}" for s, e in mono]
+def _bytes(m: int) -> bytes:
+    # byte k is the exponent of the symbol interned as k
+    return m.to_bytes((m.bit_length() + 7) // 8, "little")
+
+
+def _ceiling_error(m: int) -> OverflowError:
+    # m has an exponent above the ceiling: name the first such symbol
+    k, e = next((k, e) for k, e in enumerate(_bytes(m)) if e > MAX_EXPONENT)
+    return _overflow(_SYMBOLS[k], e)
+
+
+def _overflow(sym: Symbol, exp: int) -> OverflowError:
+    return OverflowError(
+        f"exponent {exp} of {sym} is above the ceiling {MAX_EXPONENT} of a monomial"
+    )
+
+
+def _render_monomial(syms: list[str], coeff: int) -> str:
     if not syms:
         return str(coeff)
     if coeff == 1:
@@ -122,11 +186,46 @@ def _render_monomial(mono: Monomial, coeff: int) -> str:
     return "*".join([str(coeff)] + syms)
 
 
+_new = object.__new__
+
+
+def _owned(terms: dict) -> "Polynomial":
+    # a Polynomial over terms, which it takes over (no zero coefficients)
+    p = _new(Polynomial)
+    p._terms = terms
+    return p
+
+
+def _fold(terms: dict, other: dict, sign: int = 1) -> None:
+    # terms += sign * other, in place; cancelled terms are dropped
+    if terms.keys().isdisjoint(other.keys()):  # the usual case in a Leibniz sum
+        terms.update(other if sign > 0 else {m: -c for m, c in other.items()})
+        return
+    get = terms.get
+    for m, c in other.items():
+        c = get(m, 0) + sign * c
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
+
+
 class Polynomial:
     """Immutable sparse polynomial in canonical form.
 
     Supports +, -, * against other polynomials and plain ints, so generic
-    summation code can start from the integers 0 and 1.
+    summation code can start from the integers 0 and 1.  ``terms()`` lists
+    the terms as (tuple monomial, coefficient) pairs in render order:
+
+    >>> a, b = Polynomial.from_symbol(a_symbol(1, 1)), Polynomial.from_symbol(b_symbol(2))
+    >>> p = 3 * b * b - a * b + 2
+    >>> p.render()
+    '-a[1,1]*b[2] + 3*b[2]^2 + 2'
+    >>> for mono, coeff in p.terms():
+    ...     print(mono, coeff)
+    ((Symbol(kind='a', row=1, col=1), 1), (Symbol(kind='b', row=2, col=0), 1)) -1
+    ((Symbol(kind='b', row=2, col=0), 2),) 3
+    () 2
     """
 
     __slots__ = ("_terms",)
@@ -138,26 +237,24 @@ class Polynomial:
         for mono, coeff in (terms or {}).items():
             if not _is_int(coeff):
                 raise TypeError(f"coefficients must be ints, got {coeff!r}")
-            m = _canonical_monomial(mono)
+            m = _pack(mono)
             data[m] = data.get(m, 0) + coeff
-        object.__setattr__(self, "_terms", {m: c for m, c in data.items() if c})
+        self._terms = {m: c for m, c in data.items() if c}
 
-    @classmethod
-    def _from_owned(cls, terms: dict) -> "Polynomial":
-        # internal: takes ownership, zero coefficients already dropped
-        p = cls.__new__(cls)
-        object.__setattr__(p, "_terms", terms)
-        return p
+    def __reduce__(self):
+        # packed keys mean other symbols in another process: go through the
+        # tuple form, which the unpickling process interns afresh
+        return Polynomial, (dict(self.terms()),)
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._from_owned({})
+        return _owned({})
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
         if not _is_int(c):
             raise TypeError(f"constants must be ints, got {c!r}")
-        return cls._from_owned({(): c} if c else {})
+        return _owned({0: c} if c else {})
 
     @classmethod
     def from_symbol(cls, sym: Symbol) -> "Polynomial":
@@ -169,62 +266,82 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            new = terms.get(m, 0) + c
-            if new:
-                terms[m] = new
-            else:
-                del terms[m]
-        return Polynomial._from_owned(terms)
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        _fold(terms, small)
+        return _owned(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_owned({m: -c for m, c in self._terms.items()})
+        return _owned({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self._terms)
+        _fold(terms, other._terms, -1)
+        return _owned(terms)
 
     def __rsub__(self, other: "Polynomial | int") -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prod: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mul_monomials(m1, m2)
-                new = prod.get(m, 0) + c1 * c2
-                if new:
-                    prod[m] = new
-                elif m in prod:
-                    del prod[m]
-        return Polynomial._from_owned(prod)
+        if not isinstance(other, Polynomial):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        if len(small) == 1:
+            # adding one monomial is injective: no keys merge, none cancel
+            ((m2, c2),) = small.items()
+            if len(big) == 1:
+                ((m, c),) = big.items()
+                prod = {m + m2: c * c2}
+            else:
+                prod = {m + m2: c * c2 for m, c in big.items()}
+        else:
+            prod = {}
+            get = prod.get
+            for m2, c2 in small.items():
+                for m, c in big.items():
+                    m += m2
+                    prod[m] = get(m, 0) + c * c2
+            prod = {m: c for m, c in prod.items() if c}
+        # a byte holds the sum of two exponents up to the ceiling, so the keys
+        # are exact; a term that survives with a guard bit set is too high
+        guard = _GUARD
+        for m in prod:
+            if m & guard:
+                raise _ceiling_error(m)
+        p = _new(Polynomial)
+        p._terms = prod
+        return p
 
     __rmul__ = __mul__
 
     # -- value interface ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Polynomial):
+            return self._terms == other._terms
         if _is_int(other):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._terms == ({0: other} if other else {})
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if not self._terms.keys() - {()}:  # a constant hashes like the int it equals
-            return hash(self._terms.get((), 0))
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if not terms or (len(terms) == 1 and 0 in terms):
+            return hash(terms.get(0, 0))  # a constant hashes like the int it equals
+        return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -233,18 +350,42 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _ordered(self) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
+        # The indices of the symbols present, in symbol order, and each
+        # term as (its exponents over those symbols, coefficient), leading
+        # term first: the dense exponent vectors sort as tuples.
+        terms = self._terms
+        if not terms:
+            return [], []
+        union = 0
+        for m in terms:
+            union |= m
+        b = _bytes(union)
+        present = [k for k, e in enumerate(b) if e]
+        present.sort(key=_SYMBOLS.__getitem__)
+        if len(terms) == 1:  # the union is the one monomial
+            (c,) = terms.values()
+            return present, [(tuple([b[k] for k in present]), c)]
+        if len(present) == 1:
+            (k,) = present
+            dense = lambda b: (b[k],)  # noqa: E731
+        else:
+            dense = itemgetter(*present)
+        width = len(b)
+        rows = [(dense(m.to_bytes(width, "little")), c) for m, c in terms.items()]
+        rows.sort(reverse=True)
+        return present, rows
+
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order, leading monomial first."""
-        # the key reverses the symbol order, so a larger exponent vector, in
-        # which a present symbol beats an absent one, is a larger key
-        return sorted(
-            self._terms.items(),
-            key=lambda t: tuple(((s.kind == "a", -s.row, -s.col), e) for s, e in t[0]),
-            reverse=True,
-        )
+        present, rows = self._ordered()
+        syms = [_SYMBOLS[k] for k in present]
+        return [
+            (tuple((s, e) for s, e in zip(syms, exps) if e), c) for exps, c in rows
+        ]
 
     def symbols(self) -> set[Symbol]:
-        return {s for mono in self._terms for s, _ in mono}
+        return {_SYMBOLS[k] for k in self._ordered()[0]}
 
     def evaluate(self, assignment: Mapping[Symbol, Fraction | int]) -> Fraction:
         """Substitute an exact rational for every symbol.
@@ -253,7 +394,7 @@ class Polynomial:
         polynomial.
         """
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms():
             val = Fraction(coeff)
             for sym, exp in mono:
                 if sym not in assignment:
@@ -264,13 +405,17 @@ class Polynomial:
 
     def render(self) -> str:
         """Bit-stable text form (see the module docstring for the grammar)."""
-        ordered = self.terms()
-        if not ordered:
+        present, rows = self._ordered()
+        if not rows:
             return "0"
-        pieces = [_render_monomial(*ordered[0])]
-        for mono, coeff in ordered[1:]:
-            joiner = " + " if coeff > 0 else " - "
-            pieces.append(joiner + _render_monomial(mono, abs(coeff)))
+        names = [_NAMES[k] for k in present]
+        pieces = []
+        for exps, coeff in rows:
+            if pieces:
+                pieces.append(" + " if coeff > 0 else " - ")
+                coeff = abs(coeff)
+            syms = [s if e == 1 else f"{s}^{e}" for s, e in zip(names, exps) if e]
+            pieces.append(_render_monomial(syms, coeff))
         return "".join(pieces)
 
     def __str__(self) -> str:
@@ -278,6 +423,32 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+class _Sum:
+    """A running sum of Fractions or of Polynomials, added to in place.
+
+    ``p + q`` copies a polynomial's terms, so a sum of N polynomials taken
+    one ``+`` at a time costs O(N^2); :meth:`add` folds each summand into
+    one private map.  ``zero`` fixes the kind, and is the sum of nothing.
+    """
+
+    __slots__ = ("_total", "_terms")
+
+    def __init__(self, zero: "Scalar"):
+        self._total = zero
+        self._terms = dict(zero._terms) if isinstance(zero, Polynomial) else None
+
+    def add(self, x: "Scalar") -> None:
+        if self._terms is None:
+            self._total = self._total + x
+        else:
+            _fold(self._terms, _coerce(x)._terms)
+
+    def value(self) -> "Scalar":
+        if self._terms is None:
+            return self._total
+        return _owned(dict(self._terms))
 
 
 def _coerce(value: "Polynomial | int") -> Polynomial:

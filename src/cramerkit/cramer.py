@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .algebra import Polynomial, Scalar, a_symbol, b_symbol, render_scalar
+from .algebra import Polynomial, Scalar, _Sum, a_symbol, b_symbol, render_scalar
 from .perm import MAX_N_DEFAULT, Permutation, _check_guard, sign
 
 RATIONAL = "rational"
@@ -225,9 +227,10 @@ def _identity_report(
     sys: LinearSystem, i: int, xs: Sequence[Scalar]
 ) -> IdentityReport:
     # row identity i checked against precomputed [X_0, ..., X_n]
-    lhs = sys.zero
+    total = _Sum(sys.zero)
     for j in range(1, sys.n + 1):
-        lhs = lhs + sys.entry(i, j) * xs[j]
+        total.add(sys.entry(i, j) * xs[j])
+    lhs = total.value()
     rhs = sys.rhs_entry(i) * xs[0]
     return IdentityReport(
         i=i, ok=(lhs == rhs), lhs=render_scalar(lhs), rhs=render_scalar(rhs)
@@ -237,10 +240,10 @@ def _identity_report(
 def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) -> Scalar:
     # w_j of the permutation with these values and sign; j = 0 gives w_0.
     # The one product routine behind weight_w0/wj and the F_n walk.
-    prod = sys.rhs[values[j - 1] - 1] if j else 1
-    for k, row in enumerate(values):
-        if k != j - 1:
-            prod = prod * sys.entries[row - 1][k]
+    factors = [sys.entries[row - 1][k] for k, row in enumerate(values)]
+    if j:
+        factors[j - 1] = sys.rhs[values[j - 1] - 1]
+    prod = reduce(mul, factors)
     return prod if sgn > 0 else -prod
 
 
@@ -289,20 +292,18 @@ def _ring_rows(sys: LinearSystem) -> tuple[list[tuple], Callable[[Scalar], Scala
 def _extend(partial: dict, col: Sequence[Scalar]) -> dict:
     # One column step: partial maps the bitmask of rows used by the columns
     # filled so far to the signed sum of their products; put each free row
-    # in the next column.  That adds one inversion per used row above it.
-    rows = [(1 << r, x) for r, x in reversed(list(enumerate(col)))]
+    # in the next column.  That adds one inversion per used row above it,
+    # and an odd count takes the negated entry.
+    rows = [(1 << r, x, -x) for r, x in reversed(list(enumerate(col)))]
     grown: dict = {}
     for used, acc in partial.items():
         odd = False
-        for bit, x in rows:
+        for bit, x, neg in rows:
             if used & bit:
                 odd = not odd
                 continue
             key = used | bit
-            term = acc * x
+            term = acc * (neg if odd else x)
             old = grown.get(key)
-            if old is None:
-                grown[key] = -term if odd else term
-            else:
-                grown[key] = old - term if odd else old + term
+            grown[key] = term if old is None else old + term
     return grown

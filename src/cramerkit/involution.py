@@ -32,7 +32,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Scalar, render_scalar
+from .algebra import Scalar, _Sum, render_scalar
 from .cramer import SYMBOLIC, LinearSystem, _weight, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
@@ -204,14 +204,14 @@ def _walk(
         raise ValueError(f"i={i} outside 1..{sys.n}")
     a_i = sys.entries[i - 1]
     b_i = sys.rhs_entry(i)
-    x0 = good_sum = bad_sum = sys.zero
+    x0, good_sum, bad_sum = _Sum(sys.zero), _Sum(sys.zero), _Sum(sys.zero)
     elementwise = involution_ok = parity_ok = cancellation_ok = True
     good_count = bad_count = pair_count = 0
     good_rows: list = []
     pair_rows: list = []
     for values, sgn in iter_signed_values(sys.n, max_n=max_n):
         w0 = _weight(sys, values, sgn)
-        x0 = x0 + w0
+        x0.add(w0)
         k = values.index(i)  # [k + 1, sigma] is the image of every bad [j + 1, values]
         for j, v in enumerate(values):
             e = (j, values)
@@ -220,7 +220,7 @@ def _walk(
                 w = a_i[j] * _weight(sys, values, sgn, j + 1)
                 if w != b_i * w0:
                     elementwise = False
-                good_sum = good_sum + w
+                good_sum.add(w)
                 if collect:
                     good_rows.append((e, w))
                 continue
@@ -241,13 +241,14 @@ def _walk(
             pair_sum = w_e + w_t
             if pair_sum != 0:
                 cancellation_ok = False
-            bad_sum = bad_sum + pair_sum
+            bad_sum.add(pair_sum)
             if collect:
                 pair_rows.append((e, t, w_e, w_t))
     if 2 * pair_count != bad_count:
         involution_ok = False  # the smaller-element rule missed or repeated a pair
 
-    b_i_times_x0 = b_i * x0
+    good_sum, bad_sum = good_sum.value(), bad_sum.value()
+    b_i_times_x0 = b_i * x0.value()
     aggregate1 = good_sum == b_i_times_x0
     aggregate2 = bad_sum == 0
     fact1 = Fact1Report(
@@ -327,7 +328,8 @@ _PAIR_KEYS = ("j", "pi", "j2", "sigma", "weight", "weight2")
 def certificate_from_dict(data: dict) -> PairingCertificate:
     """Parse and shape-check a certificate dict (inverse of to_dict).
 
-    Each object must hold exactly its documented keys, and n must be >= 1.
+    Each object must hold exactly its documented keys, n must be >= 1 and
+    i must lie in 1..n.
     """
     try:
         n, i, good, bad_pairs, fact1_sum, b_i_times_x0, fact2_sum = _fields(
@@ -336,9 +338,12 @@ def certificate_from_dict(data: dict) -> PairingCertificate:
         n = _expect_int(n, "n")
         if n < 1:
             raise TypeError(f"n must be a positive integer, got {n}")
+        i = _expect_int(i, "i")
+        if not 1 <= i <= n:
+            raise TypeError(f"i={i} outside 1..{n}")
         return PairingCertificate(
             n=n,
-            i=_expect_int(i, "i"),
+            i=i,
             good=tuple(
                 (
                     FElement(_expect_int(j, "j"), _permutation(pi)),
@@ -391,7 +396,7 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     sys = generic_system(cert.n)
 
     prev: tuple = ()  # the previous entry; () sorts before every element
-    total = sys.zero
+    total = _Sum(sys.zero)
     for e, w in cert.good:
         if not is_good(cert.i, e):
             raise ValueError(f"{e} listed as good but is bad")
@@ -401,8 +406,8 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
         recomputed = weight_W(sys, cert.i, e)
         if render_scalar(recomputed) != w:
             raise ValueError(f"good weight mismatch at {e}")
-        total = total + recomputed
-    if render_scalar(total) != cert.fact1_sum:
+        total.add(recomputed)
+    if render_scalar(total.value()) != cert.fact1_sum:
         raise ValueError("fact1_sum does not match the good weights")
     expected = sys.rhs_entry(cert.i) * big_x(sys, 0, max_n=max_n)
     if render_scalar(expected) != cert.b_i_times_x0:

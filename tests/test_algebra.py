@@ -1,13 +1,22 @@
 """Exact rationals, symbols, polynomial ring operations, canonical rendering."""
 
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cramerkit import all_big_x, build_certificate, certificate_to_dict, generic_system
 from cramerkit.algebra import (
+    MAX_EXPONENT,
     Polynomial,
     Symbol,
     a_symbol,
@@ -387,3 +396,197 @@ def test_evaluate_respects_mul(p, q, assignment):
     assert evaluate(poly_mul(p, q), assignment) == rat_mul(
         evaluate(p, assignment), evaluate(q, assignment)
     )
+
+
+# -- packed monomials against a dense reference --------------------------------
+# The reference keeps a polynomial as {dense exponent vector over REF_SYMBOLS,
+# in symbol order: coefficient}.  No other test uses row 50, and its symbols
+# are interned here in reverse symbol order, so the packed order of the
+# reference symbols differs from their symbol order.
+
+ROW_50 = [a_symbol(50, 1), a_symbol(50, 2), b_symbol(50)]
+for _s in reversed(ROW_50):
+    Polynomial.from_symbol(_s)
+REF_SYMBOLS = sorted([A11, A12, A21, A22, B1, B2, *ROW_50])
+
+dense_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(REF_SYMBOLS)), coefficients, max_size=6
+)
+
+
+def from_dense(ref: dict) -> Polynomial:
+    return Polynomial({tuple(zip(REF_SYMBOLS, v)): c for v, c in ref.items()})
+
+
+def dense_combine(pairs) -> dict:
+    out: dict = {}
+    for v, c in pairs:
+        out[v] = out.get(v, 0) + c
+    return {v: c for v, c in out.items() if c}
+
+
+def dense_terms(ref: dict) -> list:
+    return [
+        (tuple((s, e) for s, e in zip(REF_SYMBOLS, v) if e), ref[v])
+        for v in sorted(ref, reverse=True)
+    ]
+
+
+def dense_render(ref: dict) -> str:
+    text = ""
+    for mono, c in dense_terms(ref):
+        factors = [str(s) if e == 1 else f"{s}^{e}" for s, e in mono]
+        sign = "-" if c < 0 else ""
+        if text:
+            text += " - " if c < 0 else " + "
+            sign = ""
+        if not factors:
+            text += f"{sign}{abs(c)}"
+        else:
+            text += sign + "*".join(([str(abs(c))] if abs(c) != 1 else []) + factors)
+    return text or "0"
+
+
+@given(dense_polys, dense_polys)
+def test_packed_arithmetic_matches_a_dense_reference(x, y):
+    p, q = from_dense(x), from_dense(y)
+    total = dense_combine([*x.items(), *y.items()])
+    product = dense_combine(
+        (tuple(a + b for a, b in zip(u, v)), c * d)
+        for u, c in x.items()
+        for v, d in y.items()
+    )
+    assert (p.terms(), p.render()) == (dense_terms(x), dense_render(x))
+    assert ((p + q).terms(), (p + q).render()) == (dense_terms(total), dense_render(total))
+    assert ((p * q).terms(), (p * q).render()) == (
+        dense_terms(product), dense_render(product)
+    )
+    assert (p * q).symbols() == {s for mono, _ in dense_terms(product) for s, _ in mono}
+
+
+def test_product_above_the_exponent_ceiling_raises():
+    assert MAX_EXPONENT == 127
+    top = Polynomial({((A11, MAX_EXPONENT), (B1, 1)): 2})
+    with pytest.raises(OverflowError, match=r"exponent 128 of a\[1,1\] .* ceiling 127"):
+        top * sym(A11)
+    with pytest.raises(OverflowError, match=r"exponent 254 of a\[1,1\] .* ceiling 127"):
+        top * (top + 1)
+    with pytest.raises(OverflowError, match=r"exponent 128 of b\[2\] .* ceiling 127"):
+        Polynomial({((B2, 100), (B2, 28)): 1})
+
+
+def test_a_carry_never_shows_up_as_another_symbol():
+    # a[1,1] up to the ceiling stays a[1,1]; one more raises instead of
+    # spilling into the byte of whichever symbol was interned next
+    half = Polynomial({((A11, 64),): 1})
+    at_ceiling = half * Polynomial({((A11, 63),): 1})
+    assert at_ceiling.terms() == [(((A11, 127),), 1)]
+    assert at_ceiling.symbols() == {A11}
+    assert at_ceiling.render() == "a[1,1]^127"
+    neighbours = Polynomial({((s, MAX_EXPONENT),): 1 for s in SYMBOLS})
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        neighbours * sym(A11)
+    assert (neighbours * neighbours.zero()).is_zero
+
+
+# -- pickling, copying and the intern order ------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(code: str, stdin: bytes = b"") -> bytes:
+    # run code in a fresh interpreter with its own intern table
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_pickle_crosses_processes_with_other_intern_tables():
+    # the writer interns b[1] before a[1,1], the reader a[1,1] before b[1]
+    write = (
+        "import pickle, sys\n"
+        "from cramerkit.algebra import Polynomial, a_symbol, b_symbol\n"
+        "b = Polynomial.from_symbol(b_symbol(1))\n"
+        "a = Polynomial.from_symbol(a_symbol(1, 1))\n"
+        "sys.stdout.buffer.write(pickle.dumps([3 * a * a * b - b + 7, a - b]))\n"
+    )
+    read = (
+        "import pickle, sys\n"
+        "from cramerkit.algebra import Polynomial, a_symbol, b_symbol\n"
+        "a = Polynomial.from_symbol(a_symbol(1, 1))\n"
+        "b = Polynomial.from_symbol(b_symbol(1))\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert loaded == [3 * a * a * b - b + 7, a - b], loaded\n"
+        "print(' | '.join(p.render() for p in loaded))\n"
+    )
+    pickled = run_python(write)
+    assert run_python(read, pickled) == b"3*a[1,1]^2*b[1] - b[1] + 7 | a[1,1] - b[1]\n"
+    a, b = sym(A11), sym(B1)
+    loaded = pickle.loads(pickled)
+    assert loaded == [3 * a * a * b - b + 7, a - b]
+    assert hash(loaded[1]) == hash(a - b)
+
+
+def test_threads_interning_the_same_new_symbols_agree():
+    # in a fresh process, eight threads intern the same 2000 new symbols at
+    # the same moment, four times over; a symbol interned twice would give
+    # two threads different packed keys for it
+    code = (
+        "import sys, threading\n"
+        "from cramerkit.algebra import Polynomial, a_symbol\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "for r in range(4):\n"
+        "    fresh = [a_symbol(100 * r + t, j) for t in range(1, 21) for j in range(1, 101)]\n"
+        "    start = threading.Barrier(8, timeout=60)\n"
+        "    results = [None] * 8\n"
+        "    def build(t):\n"
+        "        start.wait()\n"
+        "        results[t] = [Polynomial.from_symbol(s) for s in fresh]\n"
+        "    threads = [threading.Thread(target=build, args=(t,)) for t in range(8)]\n"
+        "    for th in threads:\n"
+        "        th.start()\n"
+        "    for th in threads:\n"
+        "        th.join(timeout=60)\n"
+        "    assert not any(th.is_alive() for th in threads), 'a thread hung'\n"
+        "    assert all(res == results[0] for res in results), f'round {r}'\n"
+        "print('ok')\n"
+    )
+    assert run_python(code) == b"ok\n"
+
+
+def test_copy_and_deepcopy_keep_the_value():
+    p = term(3, A11, A11, B2) - term(1, A12) + 4
+    system = generic_system(2)
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
+    assert copy.deepcopy(p).render() == p.render()
+    assert copy.deepcopy(system) == system
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_intern_order_does_not_change_any_output():
+    # a fresh process interns every n = 3 symbol in reverse symbol order
+    # before building anything; its renderings and certificate are the same
+    code = (
+        "import json\n"
+        "from cramerkit import algebra, all_big_x, build_certificate, "
+        "certificate_to_dict, generic_system\n"
+        "assert not algebra._SYMBOLS, 'symbols interned at import'\n"
+        "syms = [algebra.a_symbol(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]\n"
+        "syms += [algebra.b_symbol(i) for i in (1, 2, 3)]\n"
+        "for s in sorted(syms, reverse=True):\n"
+        "    algebra.Polynomial.from_symbol(s)\n"
+        "assert algebra._SYMBOLS == sorted(syms, reverse=True)\n"
+        "g = generic_system(3)\n"
+        "print('\\n'.join(x.render() for x in all_big_x(g)))\n"
+        "print(json.dumps(certificate_to_dict(build_certificate(g, 1)), indent=2))\n"
+    )
+    g = generic_system(3)
+    expected = "\n".join(x.render() for x in all_big_x(g)) + "\n"
+    expected += json.dumps(certificate_to_dict(build_certificate(g, 1)), indent=2) + "\n"
+    assert run_python(code).decode() == expected

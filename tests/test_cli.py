@@ -535,10 +535,18 @@ def _edited(mutate):
         ),
         (_edited(lambda d: d.update(n=0)), EXIT_INPUT, "error: malformed"),
         (_edited(lambda d: d.update(n=-1)), EXIT_INPUT, "error: malformed"),
+        (
+            _edited(lambda d: d.update(i=0)),
+            EXIT_INPUT, "error: malformed certificate: i=0 outside 1..2",
+        ),
+        (
+            _edited(lambda d: d.update(i=3)),
+            EXIT_INPUT, "error: malformed certificate: i=3 outside 1..2",
+        ),
     ],
     ids=[
         "untouched", "weight", "long-pi", "swapped", "truncated", "missing-key",
-        "n-600", "extra-key", "extra-entry-key", "n-0", "n-minus-1",
+        "n-600", "extra-key", "extra-entry-key", "n-0", "n-minus-1", "i-0", "i-past-n",
     ],
 )
 def test_validate_certificate_exit_codes(

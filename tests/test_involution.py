@@ -460,8 +460,13 @@ def test_certificate_from_dict_rejects_malformed(mutate):
         (lambda d: d["good"].__setitem__(0, []), "a good entry must be a JSON object"),
         (lambda d: d.update(n=0), "n must be a positive integer, got 0"),
         (lambda d: d.update(n=-1), "n must be a positive integer, got -1"),
+        (lambda d: d.update(i=0), r"i=0 outside 1\.\.2"),
+        (lambda d: d.update(i=3), r"i=3 outside 1\.\.2"),
     ],
-    ids=["top-level", "good-entry", "bad-pair", "not-an-object", "n-0", "n-minus-1"],
+    ids=[
+        "top-level", "good-entry", "bad-pair", "not-an-object", "n-0", "n-minus-1",
+        "i-0", "i-past-n",
+    ],
 )
 def test_certificate_from_dict_names_the_flaw(mutate, message):
     data = certificate_to_dict(build_certificate(generic_system(2), 1))
