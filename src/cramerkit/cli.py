@@ -73,15 +73,6 @@ class InputDocument(NamedTuple):
     a_rows: tuple[tuple[Fraction, ...], ...] | None
     b: tuple[Fraction, ...] | None
 
-    def to_dict(self) -> dict:
-        """Write back as JSON data; rationals become "p/q" strings."""
-        doc: dict = {"n": self.n, "mode": self.mode}
-        if self.a_rows is not None:
-            doc["A"] = [[str(x) for x in row] for row in self.a_rows]
-        if self.b is not None:
-            doc["b"] = [str(x) for x in self.b]
-        return doc
-
     def to_system(self) -> LinearSystem:
         if self.mode == SYMBOLIC:
             return generic_system(self.n)
@@ -257,18 +248,16 @@ def _cmd_det(args) -> int:
         "bareiss": lambda: bareiss_det(system),
     }
     if args.method:
-        print(f"{args.method}: {render_scalar(methods[args.method]())}")
-        return EXIT_OK
-    # default: every method whose guard and mode allow it, and they must agree
-    selected = ["leibniz"]
-    if system.n <= COFACTOR_MAX_N:
-        selected.append("cofactor")
-    if system.mode == RATIONAL:
-        selected.append("bareiss")
-    results = {name: methods[name]() for name in selected}
-    for name in selected:
-        print(f"{name}: {render_scalar(results[name])}")
-    values = list(results.values())
+        selected = [args.method]
+    else:  # every method whose guard and mode allow it
+        selected = ["leibniz"]
+        if system.n <= COFACTOR_MAX_N:
+            selected.append("cofactor")
+        if system.mode == RATIONAL:
+            selected.append("bareiss")
+    values = [methods[name]() for name in selected]
+    for name, value in zip(selected, values):
+        print(f"{name}: {render_scalar(value)}")
     if any(v != values[0] for v in values[1:]):
         print("determinant methods disagree", file=sys.stderr)
         return EXIT_FAIL

@@ -16,14 +16,17 @@ sum_j a[i,j] X_j = b[i] X_0.  The elements split into two camps:
   and flips the weight's sign, so the bad elements cancel in pairs and sum
   to zero (fact 2).
 
-Both facts are checked two ways -- elementwise / pairwise as well as in
-aggregate -- because an aggregate zero alone could mask a broken pairing.
-One walk over S_n does every check; ``check_fact1``, ``check_fact2`` and
+The pairing map is coded once, in ``_partner``, on 1-based positions and
+value tuples; the walk and ``t_involution`` both call it.  Both facts are
+checked two ways -- elementwise / pairwise as well as in aggregate --
+because an aggregate zero alone could mask a broken pairing.  One walk
+over S_n does every check; ``check_fact1``, ``check_fact2`` and
 ``build_certificate`` are views of it.  The certificate serializes the whole
 verification -- every good element with its weight and every canceling
 pair, in a deterministic order, with bit-stable weight renderings -- and
 ``validate_certificate`` audits it independently, through ``FElement``,
-``t_involution``, ``weight_W`` and ``big_x``.
+``t_involution``, ``weight_W`` and ``big_x``: it shares the map with the
+walk, but no loop.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .perm import (
     _swapped,
     enumerate_permutations,
     iter_signed_values,
-    position_of,
-    transpose_positions,
 )
 
 
@@ -98,8 +99,16 @@ def t_involution(i: int, e: FElement) -> FElement:
     """
     if is_good(i, e):
         raise ValueError("pairing map is defined only on bad elements")
-    j2 = position_of(e.p, i)
-    return FElement(j2, transpose_positions(e.p, e.j, j2))
+    j2, sigma = _partner(i, e.j, e.p.values)
+    return FElement(j2, Permutation(sigma))
+
+
+def _partner(i: int, j: int, values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # the pairing map on value tuples, in 1-based positions: (j, values) ->
+    # (j2, sigma), with j2 the position of value i and sigma the values with
+    # positions j and j2 swapped.  t_involution and the walk both call it.
+    j2 = values.index(i) + 1
+    return j2, _swapped(values, j - 1, j2 - 1)
 
 
 class Fact1Report(NamedTuple):
@@ -192,13 +201,14 @@ def _walk(
 ) -> tuple[Fact1Report, Fact2Report, PairingCertificate | None]:
     """Check both facts for row i in one pass over S_n, on value tuples.
 
-    Each weight is computed exactly once: w_0 once per permutation (for X_0
-    and the fact-1 substitution check), each good element's W, and a bad
-    pair's two weights at its smaller element, the partner's from its own
-    values and sign.  Every sign is the parity of an inversion count: the
-    stream's for pi, and one count per bad element for its partner sigma,
-    whose sign must differ from pi's.  With ``collect``, certify when every
-    check passed.
+    An element is the row (j, values), 1-based as the certificate writes it,
+    and ``_partner`` gives its image.  Each weight is computed exactly once:
+    w_0 once per permutation (for X_0 and the fact-1 substitution check),
+    each good element's W, and a bad pair's two weights at its smaller
+    element, the partner's from its own values and sign.  Every sign is the
+    parity of an inversion count: the stream's for pi, and one count per bad
+    element for its partner sigma, whose sign must differ from pi's.  With
+    ``collect``, certify when every check passed.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
@@ -212,12 +222,11 @@ def _walk(
     for values, sgn in iter_signed_values(sys.n, max_n=max_n):
         w0 = _weight(sys, values, sgn)
         x0.add(w0)
-        k = values.index(i)  # [k + 1, sigma] is the image of every bad [j + 1, values]
-        for j, v in enumerate(values):
+        for j, v in enumerate(values, 1):
             e = (j, values)
             if v == i:
                 good_count += 1
-                w = a_i[j] * _weight(sys, values, sgn, j + 1)
+                w = a_i[j - 1] * _weight(sys, values, sgn, j)
                 if w != b_i * w0:
                     elementwise = False
                 good_sum.add(w)
@@ -225,10 +234,8 @@ def _walk(
                     good_rows.append((e, w))
                 continue
             bad_count += 1
-            sigma = _swapped(values, j, k)
-            t = (k, sigma)
-            j2 = sigma.index(i)
-            if sigma[k] == i or t == e or (j2, _swapped(sigma, k, j2)) != e:
+            j2, sigma = t = _partner(i, j, values)
+            if sigma[j2 - 1] == i or t == e or _partner(i, *t) != e:
                 involution_ok = False
             sgn_t = _sign(sigma)
             if sgn_t == sgn:
@@ -236,8 +243,8 @@ def _walk(
             if t < e:
                 continue  # this pair is weighed at its smaller element t
             pair_count += 1
-            w_e = a_i[j] * _weight(sys, values, sgn, j + 1)
-            w_t = a_i[k] * _weight(sys, sigma, sgn_t, k + 1)
+            w_e = a_i[j - 1] * _weight(sys, values, sgn, j)
+            w_t = a_i[j2 - 1] * _weight(sys, sigma, sgn_t, j2)
             pair_sum = w_e + w_t
             if pair_sum != 0:
                 cancellation_ok = False
@@ -290,8 +297,8 @@ def _walk(
 
 
 def _felement(e: tuple[int, tuple[int, ...]]) -> FElement:
-    # 0-based walk position -> the public 1-based element
-    return FElement(e[0] + 1, Permutation(e[1]))
+    # a walk row (j, values) -> the public element
+    return FElement(e[0], Permutation(e[1]))
 
 
 def certificate_to_dict(cert: PairingCertificate) -> dict:

@@ -118,18 +118,9 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_document_roundtrip_by_value():
-    raw = {"n": 2, "mode": "rational", "A": [["2/4", 2], [-3, "4"]], "b": [0, "5"]}
-    doc = parse_input_document(raw)
-    again = parse_input_document(doc.to_dict())
-    assert again == doc
-    assert again.to_dict() == doc.to_dict()
-
-
 def test_symbolic_document_roundtrip():
     doc = parse_input_document({"n": 3, "mode": "symbolic"})
     assert doc == InputDocument(n=3, mode="symbolic", a_rows=None, b=None)
-    assert parse_input_document(doc.to_dict()) == doc
 
 
 # -- solve -----------------------------------------------------------------------

@@ -282,6 +282,69 @@ def test_walk_checks_every_element(monkeypatch):
                 build_certificate(gs, i)
 
 
+def _image_is_itself(m):
+    m.setattr(involution, "_partner", lambda i, j, values: (j, values))
+
+
+def _image_is_good(m):
+    # no swap: the image keeps value i at the position the map reports
+    m.setattr(involution, "_partner", lambda i, j, vals: (vals.index(i) + 1, vals))
+
+
+def _image_not_self_inverse(m):
+    # the right sigma at a wrong position k: k is bad in sigma (i sits at j),
+    # but the map applied twice swaps k and j and so misses the element
+    partner = involution._partner
+
+    def wrong_position(i, j, values):
+        j2, sigma = partner(i, j, values)
+        return next(k for k in range(1, len(values) + 1) if k not in (j, j2)), sigma
+
+    m.setattr(involution, "_partner", wrong_position)
+
+
+def _partner_keeps_the_sign(m):
+    # the partner's inversion count comes out with the element's parity
+    sign = involution._sign
+    m.setattr(involution, "_sign", lambda values: -sign(values))
+
+
+INVOLUTION_FAIL = "involution (bad-to-bad, self-inverse, no fixed point): FAIL"
+PARITY_FAIL = "parity (inversion difference odd): FAIL"
+
+
+@pytest.mark.parametrize(
+    "fault, field, line",
+    [
+        (_image_is_itself, "involution_ok", INVOLUTION_FAIL),
+        (_image_is_good, "involution_ok", INVOLUTION_FAIL),
+        (_image_not_self_inverse, "involution_ok", INVOLUTION_FAIL),
+        (_partner_keeps_the_sign, "parity_ok", PARITY_FAIL),
+    ],
+    ids=["fixed-point", "good-image", "not-self-inverse", "even-parity"],
+)
+def test_walk_checks_the_pairing_map(monkeypatch, capsys, tmp_path, fault, field, line):
+    from cramerkit.cli import EXIT_FAIL, main
+
+    fault(monkeypatch)
+    gs = generic_system(3)
+    for i in (1, 2, 3):
+        f2 = check_fact2(gs, i)
+        assert getattr(f2, field) is False and f2.ok is False
+        with pytest.raises(RuntimeError):
+            build_certificate(gs, i)
+        path = tmp_path / f"cert-{i}.json"
+        code = main([
+            "check-involution", "--n", "3", "--i", str(i),
+            "--emit-certificate", str(path),
+        ])
+        out, err = capsys.readouterr()
+        assert code == EXIT_FAIL
+        assert line in out.splitlines()
+        assert "certificate not written" in err
+        assert not path.exists()
+
+
 # -- certificates -------------------------------------------------------------------
 
 
