@@ -430,7 +430,9 @@ class _Sum:
 
     ``p + q`` copies a polynomial's terms, so a sum of N polynomials taken
     one ``+`` at a time costs O(N^2); :meth:`add` folds each summand into
-    one private map.  ``zero`` fixes the kind, and is the sum of nothing.
+    one private map, which :meth:`value` hands to its result uncopied (a
+    later ``add`` goes through ``+``).  ``zero`` fixes the kind, and is the
+    sum of nothing.
     """
 
     __slots__ = ("_total", "_terms")
@@ -446,9 +448,9 @@ class _Sum:
             _fold(self._terms, _coerce(x)._terms)
 
     def value(self) -> "Scalar":
-        if self._terms is None:
-            return self._total
-        return _owned(dict(self._terms))
+        if self._terms is not None:
+            self._total, self._terms = _owned(self._terms), None
+        return self._total
 
 
 def _coerce(value: "Polynomial | int") -> Polynomial:
@@ -474,8 +476,9 @@ def render_scalar(x: Scalar) -> str:
 
 
 # -- operation aliases -------------------------------------------------------
-# The arithmetic lives on the types above; these names give the flat
-# call-style surface used elsewhere and in the tests.
+# The arithmetic lives on the types above; these names give it a flat
+# call-style surface.  Nothing in the package calls them: they are public
+# API, exercised by the tests and the acceptance suite.
 
 
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -223,11 +223,21 @@ def _cmd_check_involution(args) -> int:
         if cert is None:
             print("certificate not written: a check failed", file=sys.stderr)
             return EXIT_FAIL
+        import os  # only this branch uses it
+
+        # written beside the target and renamed over it, so a failed write
+        # leaves no partial file and any file already there as it was
+        tmp = f"{args.emit_certificate}.{os.getpid()}.tmp"
         try:
-            with open(args.emit_certificate, "w", encoding="utf-8") as fh:
+            with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(certificate_to_dict(cert), fh, indent=2)
                 fh.write("\n")
+            os.replace(tmp, args.emit_certificate)
         except OSError as exc:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass  # never created, e.g. the directory is missing
             print(f"cannot write certificate: {exc}", file=sys.stderr)
             return EXIT_FAIL
         print(f"certificate written to {args.emit_certificate}")

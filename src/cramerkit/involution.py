@@ -54,6 +54,8 @@ class FElement(NamedTuple("FElement", [("j", int), ("p", Permutation)])):
     __slots__ = ()
 
     def __new__(cls, j: int, p: Permutation) -> "FElement":
+        if type(j) is not int:  # a bool or a float is no position
+            raise ValueError(f"j={j!r} is not an integer")
         if not 1 <= j <= p.n:
             raise ValueError(f"j={j} outside 1..{p.n}")
         return super().__new__(cls, j, p)
@@ -203,35 +205,35 @@ def _walk(
 
     An element is the row (j, values), 1-based as the certificate writes it,
     and ``_partner`` gives its image.  Each weight is computed exactly once:
-    w_0 once per permutation (for X_0 and the fact-1 substitution check),
-    each good element's W, and a bad pair's two weights at its smaller
-    element, the partner's from its own values and sign.  Every sign is the
-    parity of an inversion count: the stream's for pi, and one count per bad
-    element for its partner sigma, whose sign must differ from pi's.  With
-    ``collect``, certify when every check passed.
+    a good element's W and w_0(pi), and a bad pair's two weights at its
+    smaller element, the partner's from its own values and sign.  Each pi has
+    one good element (value i sits at one position), so the b_i * w_0 summed
+    there make b_i * X_0.  Every sign is an inversion parity: the stream's for
+    pi, and one per bad element for its partner sigma, which must differ from
+    pi's.  With ``collect``, rows are rendered when formed; certify if all pass.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
     a_i = sys.entries[i - 1]
     b_i = sys.rhs_entry(i)
-    x0, good_sum, bad_sum = _Sum(sys.zero), _Sum(sys.zero), _Sum(sys.zero)
+    good_sum, b_x0, bad_sum = _Sum(sys.zero), _Sum(sys.zero), _Sum(sys.zero)
     elementwise = involution_ok = parity_ok = cancellation_ok = True
     good_count = bad_count = pair_count = 0
     good_rows: list = []
     pair_rows: list = []
     for values, sgn in iter_signed_values(sys.n, max_n=max_n):
-        w0 = _weight(sys, values, sgn)
-        x0.add(w0)
         for j, v in enumerate(values, 1):
             e = (j, values)
             if v == i:
                 good_count += 1
                 w = a_i[j - 1] * _weight(sys, values, sgn, j)
-                if w != b_i * w0:
+                bw0 = b_i * _weight(sys, values, sgn)
+                if w != bw0:
                     elementwise = False
                 good_sum.add(w)
+                b_x0.add(bw0)
                 if collect:
-                    good_rows.append((e, w))
+                    good_rows.append((e, render_scalar(w)))
                 continue
             bad_count += 1
             j2, sigma = t = _partner(i, j, values)
@@ -250,12 +252,11 @@ def _walk(
                 cancellation_ok = False
             bad_sum.add(pair_sum)
             if collect:
-                pair_rows.append((e, t, w_e, w_t))
+                pair_rows.append((e, t, render_scalar(w_e), render_scalar(w_t)))
     if 2 * pair_count != bad_count:
         involution_ok = False  # the smaller-element rule missed or repeated a pair
 
-    good_sum, bad_sum = good_sum.value(), bad_sum.value()
-    b_i_times_x0 = b_i * x0.value()
+    good_sum, b_i_times_x0, bad_sum = good_sum.value(), b_x0.value(), bad_sum.value()
     aggregate1 = good_sum == b_i_times_x0
     aggregate2 = bad_sum == 0
     fact1 = Fact1Report(
@@ -284,10 +285,9 @@ def _walk(
     cert = PairingCertificate(
         n=sys.n,
         i=i,
-        good=tuple((_felement(e), render_scalar(w)) for e, w in good_rows),
+        good=tuple((_felement(e), w) for e, w in good_rows),
         bad_pairs=tuple(
-            (_felement(e), _felement(t), render_scalar(w_e), render_scalar(w_t))
-            for e, t, w_e, w_t in pair_rows
+            (_felement(e), _felement(t), w_e, w_t) for e, t, w_e, w_t in pair_rows
         ),
         fact1_sum=render_scalar(good_sum),
         b_i_times_x0=render_scalar(b_i_times_x0),
@@ -336,7 +336,8 @@ def certificate_from_dict(data: dict) -> PairingCertificate:
     """Parse and shape-check a certificate dict (inverse of to_dict).
 
     Each object must hold exactly its documented keys, n must be >= 1 and
-    i must lie in 1..n.
+    i must lie in 1..n.  Every fault, an element's too, raises ValueError
+    with the prefix "malformed certificate:".
     """
     try:
         n, i, good, bad_pairs, fact1_sum, b_i_times_x0, fact2_sum = _fields(
@@ -353,27 +354,31 @@ def certificate_from_dict(data: dict) -> PairingCertificate:
             i=i,
             good=tuple(
                 (
-                    FElement(_expect_int(j, "j"), _permutation(pi)),
+                    FElement(_expect_int(j, "j"), _permutation(pi, "pi")),
                     _expect_str(w, "weight"),
                 )
-                for j, pi, w in (_fields(g, _GOOD_KEYS, "a good entry") for g in good)
+                for j, pi, w in (
+                    _fields(g, _GOOD_KEYS, "a good entry")
+                    for g in _expect_list(good, "good")
+                )
             ),
             bad_pairs=tuple(
                 (
-                    FElement(_expect_int(j, "j"), _permutation(pi)),
-                    FElement(_expect_int(j2, "j2"), _permutation(sigma)),
+                    FElement(_expect_int(j, "j"), _permutation(pi, "pi")),
+                    FElement(_expect_int(j2, "j2"), _permutation(sigma, "sigma")),
                     _expect_str(w, "weight"),
                     _expect_str(w2, "weight2"),
                 )
                 for j, pi, j2, sigma, w, w2 in (
-                    _fields(p, _PAIR_KEYS, "a bad pair") for p in bad_pairs
+                    _fields(p, _PAIR_KEYS, "a bad pair")
+                    for p in _expect_list(bad_pairs, "bad_pairs")
                 )
             ),
             fact1_sum=_expect_str(fact1_sum, "fact1_sum"),
             b_i_times_x0=_expect_str(b_i_times_x0, "b_i_times_X0"),
             fact2_sum=_expect_str(fact2_sum, "fact2_sum"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: a bad pi or j
         raise ValueError(f"malformed certificate: {exc}") from exc
 
 
@@ -451,8 +456,15 @@ def _fields(obj, keys: tuple, what: str) -> list:
     return [obj[k] for k in keys]
 
 
-def _permutation(values) -> Permutation:
+def _permutation(values, what: str) -> Permutation:
+    values = _expect_list(values, what)
     return Permutation(tuple(_expect_int(v, "permutation value") for v in values))
+
+
+def _expect_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"{what} must be a JSON array, got {type(v).__name__}")
+    return v
 
 
 def _expect_int(v, what: str) -> int:

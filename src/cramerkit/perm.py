@@ -5,9 +5,9 @@ Positions and values are 1-based everywhere in the public surface; the
 Permutations are immutable and every operation is pure, so values can be
 shared freely across workers.
 
-Enumeration is lexicographic on the value sequences and streams (nothing
-holds all n! permutations at once).  Callers must not rely on any property
-of the order beyond "all of S_n, exactly once".
+Enumeration streams (nothing holds all n! permutations at once) all of
+S_n, each permutation once, in lexicographic order of the value sequences;
+that order is part of the contract, and callers may rely on it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ class Permutation(NamedTuple("Permutation", [("values", tuple)])):
         if n < 1:
             raise ValueError("a permutation needs at least one value (n >= 1)")
         for v in values:
+            if type(v) is not int:  # a bool or a float is no value of S_n
+                raise ValueError(f"value {v!r} in {values} is not an integer")
             if not 1 <= v <= n:
                 raise ValueError(f"value {v} outside 1..{n} in {values}")
         if len(set(values)) != n:

@@ -19,6 +19,7 @@ from cramerkit.algebra import (
     MAX_EXPONENT,
     Polynomial,
     Symbol,
+    _Sum,
     a_symbol,
     b_symbol,
     evaluate,
@@ -218,6 +219,20 @@ def test_add_cancels_to_zero():
     p = term(1, A11, A22)
     assert poly_add(p, poly_negate(p)).is_zero
     assert poly_add(p, poly_negate(p)).render() == "0"
+
+
+def test_sum_value_is_not_changed_by_a_later_add():
+    # value() hands its map over uncopied; a later add must not reach it
+    cases = [(Polynomial.zero(), term(2, A11, B1)), (Fraction(0), Fraction(1, 3))]
+    for zero, x in cases:
+        total = _Sum(zero)
+        total.add(x)
+        first = total.value()
+        total.add(x)
+        total.add(x + x)
+        assert first == x
+        assert total.value() == 4 * x
+        assert first == x
 
 
 def test_mul_single_terms():

@@ -333,6 +333,32 @@ def test_check_involution_unwritable_certificate(tmp_path, capsys):
     assert "cannot write certificate" in err
 
 
+def test_check_involution_failed_write_keeps_the_old_certificate(
+    tmp_path, capsys, monkeypatch
+):
+    # a write that fails part way leaves the file already at the path as it
+    # was, and no temporary file beside it
+    cert_path = tmp_path / "cert.json"
+    old = b'{"a certificate": "already here"}\n'
+    cert_path.write_bytes(old)
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"n": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    code, out, err = run(
+        capsys,
+        "check-involution", "--n", "2", "--i", "1",
+        "--emit-certificate", str(cert_path),
+    )
+    assert code == EXIT_FAIL
+    assert "cannot write certificate: disk full" in err
+    assert "certificate written" not in out
+    assert cert_path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cert.json"]
+
+
 def test_check_involution_empty_certificate_path(capsys):
     # an empty path is a path that cannot be opened, not an absent flag
     code, _, err = run(
@@ -346,8 +372,9 @@ def test_check_involution_empty_certificate_path(capsys):
 
 def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
     # one enumeration of S_5 and (n + 1) * n! = 720 weight evaluations:
-    # w_0 once per permutation plus each element of F_5 once, and X_0 comes
-    # from that same pass, never from a second sum
+    # w_0 once per permutation, at its good element, plus each element of
+    # F_5 once, and b_i * X_0 comes from that same pass, never from a
+    # second sum
     calls = {"enumerations": 0, "weights": 0, "sums": 0}
 
     def counting(module, name, key):

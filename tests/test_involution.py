@@ -29,6 +29,7 @@ from cramerkit import involution
 from cramerkit.algebra import a_symbol, b_symbol, make_monomial, Polynomial
 from cramerkit.cramer import rational_system
 from cramerkit.involution import iter_elements
+from cramerkit.oracle import bareiss_det
 from cramerkit.perm import Permutation
 
 from _support import random_int_system
@@ -57,6 +58,9 @@ def test_felement_validation():
         fel(0, [1, 2])
     with pytest.raises(ValueError):
         fel(3, [1, 2])
+    for j in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            fel(j, [1, 2])
 
 
 def test_felement_prints_as_the_certificate_writes_it():
@@ -221,19 +225,29 @@ def test_check_fact2_n1_vacuous():
 
 
 def test_facts_hold_generic_up_to_4():
+    # the walk's fact-1 sums equal b_i * X_0 from the X_j kernel
     for n in range(1, 5):
         gs = generic_system(n)
+        x0 = big_x(gs, 0)
         for i in range(1, n + 1):
-            assert check_fact1(gs, i).ok
+            f1 = check_fact1(gs, i)
+            assert f1.ok
+            assert f1.b_i_times_x0 == gs.rhs_entry(i) * x0
+            assert f1.good_sum == f1.b_i_times_x0
             assert check_fact2(gs, i).ok
 
 
 def test_facts_hold_numeric():
-    # the identities are polynomial, so they also hold on instantiated systems
+    # the identities are polynomial, so they also hold on instantiated
+    # systems; there X_0 = det(A), as Bareiss elimination computes it
     rng = random.Random(17)
     sys = random_int_system(rng, 3)
+    det = bareiss_det(sys)
     for i in range(1, 4):
-        assert check_fact1(sys, i).ok
+        f1 = check_fact1(sys, i)
+        assert f1.ok
+        assert f1.b_i_times_x0 == sys.rhs_entry(i) * det
+        assert f1.good_sum == f1.b_i_times_x0
         assert check_fact2(sys, i).ok
 
 
@@ -525,10 +539,22 @@ def test_certificate_from_dict_rejects_malformed(mutate):
         (lambda d: d.update(n=-1), "n must be a positive integer, got -1"),
         (lambda d: d.update(i=0), r"i=0 outside 1\.\.2"),
         (lambda d: d.update(i=3), r"i=3 outside 1\.\.2"),
+        (lambda d: d["good"][0].update(pi=[1, 1]), r"repeated value in \(1, 1\)"),
+        (lambda d: d["good"][0].update(pi=[1, 3]), r"value 3 outside 1\.\.2"),
+        (lambda d: d["good"][0].update(pi=[]), "a permutation needs at least one"),
+        (lambda d: d["bad_pairs"][0].update(sigma=[2, 2]), r"repeated value in \(2, "),
+        (lambda d: d["good"][0].update(j=7), r"j=7 outside 1\.\.2"),
+        (lambda d: d["bad_pairs"][0].update(j2=0), r"j=0 outside 1\.\.2"),
+        (lambda d: d.update(good=1), "good must be a JSON array, got int"),
+        (lambda d: d.update(bad_pairs={}), "bad_pairs must be a JSON array, got dict"),
+        (lambda d: d["good"][0].update(pi=12), "pi must be a JSON array, got int"),
+        (lambda d: d["bad_pairs"][0].update(sigma="21"), "sigma must be a JSON array"),
     ],
     ids=[
         "top-level", "good-entry", "bad-pair", "not-an-object", "n-0", "n-minus-1",
-        "i-0", "i-past-n",
+        "i-0", "i-past-n", "pi-repeated", "pi-out-of-range", "pi-empty",
+        "sigma-repeated", "j-past-n", "j2-0", "good-not-array", "pairs-not-array",
+        "pi-not-array", "sigma-not-array",
     ],
 )
 def test_certificate_from_dict_names_the_flaw(mutate, message):

@@ -43,7 +43,10 @@ def test_make_permutation_single():
 
 @pytest.mark.parametrize(
     "bad",
-    [[], [1, 1], [0, 1], [1, 3], [2, 2, 1], [1, 2, 4]],
+    [
+        [], [1, 1], [0, 1], [1, 3], [2, 2, 1], [1, 2, 4],
+        [1.0, 2.0], [True, 2], [2, "1"],
+    ],
 )
 def test_make_permutation_rejects(bad):
     with pytest.raises(ValueError):
