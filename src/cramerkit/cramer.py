@@ -250,25 +250,25 @@ def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) ->
 def _leibniz(sys: LinearSystem, js: Sequence[int]) -> list[Scalar]:
     # [X_j for j in js]: the sums over S_n of sign(pi) * prod_k cols[k][pi_k],
     # where X_0 takes the columns of A and X_j puts b in column j.  The
-    # columns are filled in order (_extend), so X_j starts from the partial
-    # sums over columns 1..j-1 of A, the same prefix that X_0 and every
-    # later X_j pass through; each prefix is computed once.
+    # columns are filled in order (_extend), so X_j continues the prefix over
+    # columns 1..j-1 of A, which X_0 and every later X_j pass through; each
+    # prefix is computed once, and X_j is finished before the next is formed.
     rows, unscale = _ring_rows(sys)
     *cols, rhs = zip(*rows)
-    n = sys.n
-    prefixes = [{0: 1}]  # prefixes[k]: columns 1..k of A, by used-row mask
-    for col in cols[: n if 0 in js else max(js) - 1]:
-        prefixes.append(_extend(prefixes[-1], col))
-    sums = []
-    for j in js:
-        if j:
-            partial = prefixes[j - 1]
-            for col in (rhs, *cols[j:]):
+    full = (1 << sys.n) - 1
+    sums = {}
+    prefix = {0: 1}  # columns 1..k of A, by used-row mask
+    for k in range(sys.n + 1 if 0 in js else max(js)):
+        if k:
+            prefix = _extend(prefix, cols[k - 1])
+        if k + 1 in js:
+            partial = prefix
+            for col in (rhs, *cols[k + 1 :]):
                 partial = _extend(partial, col)
-        else:
-            partial = prefixes[n]
-        sums.append(unscale(partial[(1 << n) - 1]))
-    return sums
+            sums[k + 1] = partial[full]
+    if 0 in js:
+        sums[0] = prefix[full]  # the prefix now holds every column of A
+    return [unscale(sums[j]) for j in js]
 
 
 def _ring_rows(sys: LinearSystem) -> tuple[list[tuple], Callable[[Scalar], Scalar]]:

@@ -18,9 +18,10 @@ sum_j a[i,j] X_j = b[i] X_0.  The elements split into two camps:
 
 The pairing map is coded once, in ``_partner``, on 1-based positions and
 value tuples; the walk and ``t_involution`` both call it.  Both facts are
-checked two ways -- elementwise / pairwise as well as in aggregate --
-because an aggregate zero alone could mask a broken pairing.  One walk
-over S_n does every check; ``check_fact1``, ``check_fact2`` and
+checked elementwise / pairwise, because an aggregate zero alone could mask a
+broken pairing.  Fact 1's aggregate is checked against X_0 from the solver's
+kernel; fact 2's adds the pair sums, so it follows from the pairwise checks.
+One walk over S_n does every check; ``check_fact1``, ``check_fact2`` and
 ``build_certificate`` are views of it.  The certificate serializes the whole
 verification -- every good element with its weight and every canceling
 pair, in a deterministic order, with bit-stable weight renderings -- and
@@ -206,19 +207,21 @@ def _walk(
     An element is the row (j, values), 1-based as the certificate writes it,
     and ``_partner`` gives its image.  Each weight is computed exactly once:
     a good element's W and w_0(pi), and a bad pair's two weights at its
-    smaller element, the partner's from its own values and sign.  Each pi has
-    one good element (value i sits at one position), so the b_i * w_0 summed
-    there make b_i * X_0.  Every sign is an inversion parity: the stream's for
-    pi, and one per bad element for its partner sigma, which must differ from
-    pi's.  With ``collect``, rows are rendered when formed; certify if all pass.
+    smaller element, the partner's from its own values and sign, an inversion
+    parity that must differ from pi's.  Fact 1's aggregate takes b_i * X_0
+    from the kernel, not from the b_i * w_0 formed here.  No pair is counted:
+    each bad e has a bad image t != e with T(t) = e, so T is a fixed-point-free
+    involution and the smaller-element rule weighs its bad_count / 2 pairs
+    once.  With ``collect``, rows are rendered when formed; certify if all pass.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
     a_i = sys.entries[i - 1]
     b_i = sys.rhs_entry(i)
-    good_sum, b_x0, bad_sum = _Sum(sys.zero), _Sum(sys.zero), _Sum(sys.zero)
+    b_i_times_x0 = b_i * big_x(sys, 0, max_n=max_n)
+    good_sum, bad_sum = _Sum(sys.zero), _Sum(sys.zero)
     elementwise = involution_ok = parity_ok = cancellation_ok = True
-    good_count = bad_count = pair_count = 0
+    good_count = bad_count = 0
     good_rows: list = []
     pair_rows: list = []
     for values, sgn in iter_signed_values(sys.n, max_n=max_n):
@@ -227,11 +230,9 @@ def _walk(
             if v == i:
                 good_count += 1
                 w = a_i[j - 1] * _weight(sys, values, sgn, j)
-                bw0 = b_i * _weight(sys, values, sgn)
-                if w != bw0:
+                if w != b_i * _weight(sys, values, sgn):
                     elementwise = False
                 good_sum.add(w)
-                b_x0.add(bw0)
                 if collect:
                     good_rows.append((e, render_scalar(w)))
                 continue
@@ -244,7 +245,6 @@ def _walk(
                 parity_ok = False  # the inversion counts differ by an even number
             if t < e:
                 continue  # this pair is weighed at its smaller element t
-            pair_count += 1
             w_e = a_i[j - 1] * _weight(sys, values, sgn, j)
             w_t = a_i[j2 - 1] * _weight(sys, sigma, sgn_t, j2)
             pair_sum = w_e + w_t
@@ -253,10 +253,8 @@ def _walk(
             bad_sum.add(pair_sum)
             if collect:
                 pair_rows.append((e, t, render_scalar(w_e), render_scalar(w_t)))
-    if 2 * pair_count != bad_count:
-        involution_ok = False  # the smaller-element rule missed or repeated a pair
 
-    good_sum, b_i_times_x0, bad_sum = good_sum.value(), b_x0.value(), bad_sum.value()
+    good_sum, bad_sum = good_sum.value(), bad_sum.value()
     aggregate1 = good_sum == b_i_times_x0
     aggregate2 = bad_sum == 0
     fact1 = Fact1Report(
@@ -353,10 +351,7 @@ def certificate_from_dict(data: dict) -> PairingCertificate:
             n=n,
             i=i,
             good=tuple(
-                (
-                    FElement(_expect_int(j, "j"), _permutation(pi, "pi")),
-                    _expect_str(w, "weight"),
-                )
+                (_element(j, pi, "j", "pi"), _expect_str(w, "weight"))
                 for j, pi, w in (
                     _fields(g, _GOOD_KEYS, "a good entry")
                     for g in _expect_list(good, "good")
@@ -364,8 +359,8 @@ def certificate_from_dict(data: dict) -> PairingCertificate:
             ),
             bad_pairs=tuple(
                 (
-                    FElement(_expect_int(j, "j"), _permutation(pi, "pi")),
-                    FElement(_expect_int(j2, "j2"), _permutation(sigma, "sigma")),
+                    _element(j, pi, "j", "pi"),
+                    _element(j2, sigma, "j2", "sigma"),
                     _expect_str(w, "weight"),
                     _expect_str(w2, "weight2"),
                 )
@@ -456,9 +451,13 @@ def _fields(obj, keys: tuple, what: str) -> list:
     return [obj[k] for k in keys]
 
 
-def _permutation(values, what: str) -> Permutation:
-    values = _expect_list(values, what)
-    return Permutation(tuple(_expect_int(v, "permutation value") for v in values))
+def _element(j, values, j_key: str, p_key: str) -> FElement:
+    # an entry's position and permutation; a fault names the entry's own keys
+    j, values = _expect_int(j, j_key), _expect_list(values, p_key)
+    p = Permutation(tuple(_expect_int(v, "permutation value") for v in values))
+    if not 1 <= j <= p.n:
+        raise ValueError(f"{j_key}={j} outside 1..{p.n}")
+    return FElement(j, p)
 
 
 def _expect_list(v, what: str) -> list:

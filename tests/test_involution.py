@@ -323,28 +323,53 @@ def _partner_keeps_the_sign(m):
     m.setattr(involution, "_sign", lambda values: -sign(values))
 
 
+def _x0_off_by_one(m):
+    # the kernel's X_0 is off by one while every good weight is right, so
+    # only fact 1's aggregate, which compares the walk with the kernel, sees it
+    x0 = involution.big_x
+    m.setattr(involution, "big_x", lambda *args, **kwargs: x0(*args, **kwargs) + 1)
+
+
 INVOLUTION_FAIL = "involution (bad-to-bad, self-inverse, no fixed point): FAIL"
 PARITY_FAIL = "parity (inversion difference odd): FAIL"
+FACT1_AGGREGATE_FAIL = "fact1 aggregate (good sum = b_i * X0): FAIL"
 
 
 @pytest.mark.parametrize(
-    "fault, field, line",
+    "fault, check, fields, line",
     [
-        (_image_is_itself, "involution_ok", INVOLUTION_FAIL),
-        (_image_is_good, "involution_ok", INVOLUTION_FAIL),
-        (_image_not_self_inverse, "involution_ok", INVOLUTION_FAIL),
-        (_partner_keeps_the_sign, "parity_ok", PARITY_FAIL),
+        (_image_is_itself, check_fact2, {"involution_ok": False}, INVOLUTION_FAIL),
+        (_image_is_good, check_fact2, {"involution_ok": False}, INVOLUTION_FAIL),
+        (
+            _image_not_self_inverse,
+            check_fact2,
+            {"involution_ok": False},
+            INVOLUTION_FAIL,
+        ),
+        (_partner_keeps_the_sign, check_fact2, {"parity_ok": False}, PARITY_FAIL),
+        (
+            _x0_off_by_one,
+            check_fact1,
+            {"aggregate_ok": False, "elementwise_ok": True},
+            FACT1_AGGREGATE_FAIL,
+        ),
     ],
-    ids=["fixed-point", "good-image", "not-self-inverse", "even-parity"],
+    ids=[
+        "fixed-point", "good-image", "not-self-inverse", "even-parity",
+        "x0-off-by-one",
+    ],
 )
-def test_walk_checks_the_pairing_map(monkeypatch, capsys, tmp_path, fault, field, line):
+def test_walk_checks_the_pairing_map(
+    monkeypatch, capsys, tmp_path, fault, check, fields, line
+):
     from cramerkit.cli import EXIT_FAIL, main
 
     fault(monkeypatch)
     gs = generic_system(3)
     for i in (1, 2, 3):
-        f2 = check_fact2(gs, i)
-        assert getattr(f2, field) is False and f2.ok is False
+        report = check(gs, i)
+        assert {k: getattr(report, k) for k in fields} == fields
+        assert report.ok is False
         with pytest.raises(RuntimeError):
             build_certificate(gs, i)
         path = tmp_path / f"cert-{i}.json"
@@ -544,7 +569,7 @@ def test_certificate_from_dict_rejects_malformed(mutate):
         (lambda d: d["good"][0].update(pi=[]), "a permutation needs at least one"),
         (lambda d: d["bad_pairs"][0].update(sigma=[2, 2]), r"repeated value in \(2, "),
         (lambda d: d["good"][0].update(j=7), r"j=7 outside 1\.\.2"),
-        (lambda d: d["bad_pairs"][0].update(j2=0), r"j=0 outside 1\.\.2"),
+        (lambda d: d["bad_pairs"][0].update(j2=0), r"j2=0 outside 1\.\.2"),
         (lambda d: d.update(good=1), "good must be a JSON array, got int"),
         (lambda d: d.update(bad_pairs={}), "bad_pairs must be a JSON array, got dict"),
         (lambda d: d["good"][0].update(pi=12), "pi must be a JSON array, got int"),
