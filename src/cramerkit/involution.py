@@ -33,7 +33,7 @@ walk, but no loop.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import Scalar, _Sum, render_scalar
@@ -155,9 +155,10 @@ def check_fact2(
 ) -> Fact2Report:
     """Verify pairwise cancellation of the bad elements, then the aggregate.
 
-    Per bad element e with image t: t is bad, t != e (no fixed points),
-    the map applied twice returns e, the inversion counts of the two
-    permutations differ by an odd number, and W(e) + W(t) = 0 exactly.
+    Per bad element e with image t: t is bad, t != e (no fixed points) and
+    the map applied twice returns e.  Per pair {e, t}, once: the inversion
+    counts of the two permutations differ by an odd number, and
+    W(e) + W(t) = 0 exactly.
     """
     return _walk(sys, i, max_n)[1]
 
@@ -205,14 +206,16 @@ def _walk(
     """Check both facts for row i in one pass over S_n, on value tuples.
 
     An element is the row (j, values), 1-based as the certificate writes it,
-    and ``_partner`` gives its image.  Each weight is computed exactly once:
-    a good element's W and w_0(pi), and a bad pair's two weights at its
-    smaller element, the partner's from its own values and sign, an inversion
-    parity that must differ from pi's.  Fact 1's aggregate takes b_i * X_0
-    from the kernel, not from the b_i * w_0 formed here.  No pair is counted:
-    each bad e has a bad image t != e with T(t) = e, so T is a fixed-point-free
-    involution and the smaller-element rule weighs its bad_count / 2 pairs
-    once.  With ``collect``, rows are rendered when formed; certify if all pass.
+    and ``_partner`` gives its image.  The map checks run at every bad e: a
+    bad image t != e with T(t) = e makes T a fixed-point-free involution, so
+    each bad element lies in exactly one pair, which is settled once, at its
+    smaller element: the partner's inversion parity must differ from pi's,
+    and both weights are formed, the partner's from its own values and sign,
+    and must cancel.  A good element's W and w_0(pi) are formed once too.
+    Fact 1's aggregate takes b_i * X_0 from the kernel, not from the b_i * w_0
+    formed here.  With ``collect``, each row is formed as its final entry, in
+    a list per position j; the stream is in lexicographic order, so each list
+    is in canonical order and the lists, joined, are too.  Certify if all pass.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
@@ -222,8 +225,8 @@ def _walk(
     good_sum, bad_sum = _Sum(sys.zero), _Sum(sys.zero)
     elementwise = involution_ok = parity_ok = cancellation_ok = True
     good_count = bad_count = 0
-    good_rows: list = []
-    pair_rows: list = []
+    good_rows: list[list] = [[] for _ in range(sys.n)]  # one list per position j
+    pair_rows: list[list] = [[] for _ in range(sys.n)]
     for values, sgn in iter_signed_values(sys.n, max_n=max_n):
         for j, v in enumerate(values, 1):
             e = (j, values)
@@ -234,17 +237,17 @@ def _walk(
                     elementwise = False
                 good_sum.add(w)
                 if collect:
-                    good_rows.append((e, render_scalar(w)))
+                    good_rows[j - 1].append((_felement(e), render_scalar(w)))
                 continue
             bad_count += 1
             j2, sigma = t = _partner(i, j, values)
             if sigma[j2 - 1] == i or t == e or _partner(i, *t) != e:
                 involution_ok = False
+            if t < e:
+                continue  # this pair is settled at its smaller element t
             sgn_t = _sign(sigma)
             if sgn_t == sgn:
                 parity_ok = False  # the inversion counts differ by an even number
-            if t < e:
-                continue  # this pair is weighed at its smaller element t
             w_e = a_i[j - 1] * _weight(sys, values, sgn, j)
             w_t = a_i[j2 - 1] * _weight(sys, sigma, sgn_t, j2)
             pair_sum = w_e + w_t
@@ -252,7 +255,9 @@ def _walk(
                 cancellation_ok = False
             bad_sum.add(pair_sum)
             if collect:
-                pair_rows.append((e, t, render_scalar(w_e), render_scalar(w_t)))
+                pair_rows[j - 1].append(
+                    (_felement(e), _felement(t), render_scalar(w_e), render_scalar(w_t))
+                )
 
     good_sum, bad_sum = good_sum.value(), bad_sum.value()
     aggregate1 = good_sum == b_i_times_x0
@@ -278,17 +283,14 @@ def _walk(
     )
     if not (collect and fact1.ok and fact2.ok):
         return fact1, fact2, None
-    good_rows.sort(key=itemgetter(0))
-    pair_rows.sort(key=itemgetter(0))
+    fact1_sum = render_scalar(good_sum)  # fact1.ok: the good sum is b_i * X_0
     cert = PairingCertificate(
         n=sys.n,
         i=i,
-        good=tuple((_felement(e), w) for e, w in good_rows),
-        bad_pairs=tuple(
-            (_felement(e), _felement(t), w_e, w_t) for e, t, w_e, w_t in pair_rows
-        ),
-        fact1_sum=render_scalar(good_sum),
-        b_i_times_x0=render_scalar(b_i_times_x0),
+        good=tuple(chain.from_iterable(good_rows)),
+        bad_pairs=tuple(chain.from_iterable(pair_rows)),
+        fact1_sum=fact1_sum,
+        b_i_times_x0=fact1_sum,
         fact2_sum=render_scalar(bad_sum),
     )
     return fact1, fact2, cert
@@ -385,7 +387,8 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     not just against its own internal consistency.  Both elements of a pair
     are weighed, and their weights must cancel: the partner's weight is
     never taken as the negation of the other.  The size guard and the
-    entry counts are checked before the generic system is built.
+    entry counts are checked before the generic system is built, and each
+    entry's permutation size before anything else about the entry.
 
     The canonical order, the tuple order of the elements (j, pi), proves that
     F_n is covered once: good entries and the pairs' smaller elements lo
@@ -405,6 +408,7 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     prev: tuple = ()  # the previous entry; () sorts before every element
     total = _Sum(sys.zero)
     for e, w in cert.good:
+        _check_size(e, cert.n, "good entry")
         if not is_good(cert.i, e):
             raise ValueError(f"{e} listed as good but is bad")
         if not prev < e:
@@ -424,6 +428,8 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
 
     prev = ()
     for lo, hi, w_lo, w_hi in cert.bad_pairs:
+        _check_size(lo, cert.n, "pair element")
+        _check_size(hi, cert.n, "pair element")
         if is_good(cert.i, lo) or is_good(cert.i, hi):
             raise ValueError(f"pair ({lo}, {hi}) contains a good element")
         if not prev < lo < hi:
@@ -441,6 +447,12 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
         raise ValueError(f'fact2_sum must render "0", got {cert.fact2_sum!r}')
 
 
+def _check_size(e: FElement, n: int, what: str) -> None:
+    # the parser takes a permutation of any size; the audit names a wrong one
+    if e.p.n != n:
+        raise ValueError(f"permutation size {e.p.n} != system size {n} at {what} {e}")
+
+
 def _fields(obj, keys: tuple, what: str) -> list:
     # the values of keys in the JSON object obj, which may hold no other key
     if not isinstance(obj, dict):
@@ -454,7 +466,7 @@ def _fields(obj, keys: tuple, what: str) -> list:
 def _element(j, values, j_key: str, p_key: str) -> FElement:
     # an entry's position and permutation; a fault names the entry's own keys
     j, values = _expect_int(j, j_key), _expect_list(values, p_key)
-    p = Permutation(tuple(_expect_int(v, "permutation value") for v in values))
+    p = Permutation(tuple(values))  # which checks each value's type
     if not 1 <= j <= p.n:
         raise ValueError(f"{j_key}={j} outside 1..{p.n}")
     return FElement(j, p)

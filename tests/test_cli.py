@@ -373,9 +373,10 @@ def test_check_involution_empty_certificate_path(capsys):
 def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
     # one enumeration of S_5 and (n + 1) * n! = 720 weight evaluations:
     # w_0 once per permutation, at its good element, plus each element of
-    # F_5 once; the fact-1 aggregate takes b_i * X_0 from one kernel call,
-    # a second algorithm to check the walk's good sum against
-    calls = {"enumerations": 0, "weights": 0, "sums": 0}
+    # F_5 once; (n - 1) * n! / 2 = 240 partner parities, one per bad pair,
+    # at its smaller element; the fact-1 aggregate takes b_i * X_0 from one
+    # kernel call, a second algorithm to check the walk's good sum against
+    calls = {"enumerations": 0, "weights": 0, "signs": 0, "sums": 0}
 
     def counting(module, name, key):
         inner = getattr(module, name)
@@ -389,6 +390,7 @@ def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
     counting(involution, "iter_signed_values", "enumerations")
     counting(involution, "enumerate_permutations", "enumerations")
     counting(involution, "_weight", "weights")
+    counting(involution, "_sign", "signs")
     counting(cramer, "_leibniz", "sums")
     code, out, _ = run(
         capsys,
@@ -396,7 +398,7 @@ def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
         "--emit-certificate", str(tmp_path / "cert.json"),
     )
     assert code == EXIT_OK and out.count("PASS") == 6
-    assert calls == {"enumerations": 1, "weights": 720, "sums": 1}
+    assert calls == {"enumerations": 1, "weights": 720, "signs": 240, "sums": 1}
     cramer.solve(cramer.rational_system([[2]], [1]))
     assert calls["sums"] == 2  # the hook is the one every X_j sum goes through
 

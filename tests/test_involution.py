@@ -1,9 +1,12 @@
 """Good/bad classification, the pairing involution, both facts, certificates."""
 
+import ast
 import hashlib
 import json
 import math
 import random
+import types
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +387,87 @@ def test_walk_checks_the_pairing_map(
         assert not path.exists()
 
 
+# bound here, before a certificate flaw below reuses the name _x0_off_by_one
+WALK_FAULTS = (
+    _image_is_itself,
+    _image_is_good,
+    _image_not_self_inverse,
+    _partner_keeps_the_sign,
+    _x0_off_by_one,
+) + tuple(
+    lambda m, target=(e.j, e.p.values): corrupt_weight(m, target)
+    for e in iter_elements(3)
+)
+
+
+class _PatchCopy:
+    # a monkeypatch that applies a fault written for involution to a copy of it
+    def __init__(self, m, module):
+        self.m, self.module = m, module
+
+    def setattr(self, target, name, value):
+        self.m.setattr(self.module if target is involution else target, name, value)
+
+
+def _walk_failures(module, monkeypatch):
+    # (fault, i, field) for each report field that a walk fault turns False
+    gs = generic_system(3)
+    failures = set()
+    for k, fault in enumerate(WALK_FAULTS):
+        with monkeypatch.context() as m:
+            fault(_PatchCopy(m, module))
+            for i in (1, 2, 3):
+                for report in module._walk(gs, i)[:2]:
+                    failures.update(
+                        (k, i, field)
+                        for field, value in report._asdict().items()
+                        if value is False
+                    )
+    return failures
+
+
+class _Drop(ast.NodeTransformer):
+    # replaces the assignment at one (line, column) by `pass`
+    def __init__(self, where):
+        self.where = where
+
+    def visit_Assign(self, node):
+        if (node.lineno, node.col_offset) == self.where:
+            return ast.copy_location(ast.Pass(), node)
+        return node
+
+
+def test_every_walk_check_can_fail(monkeypatch):
+    # each statement of _walk that records a failed check is needed: with it
+    # replaced by `pass`, some walk fault the real module reports goes unseen
+    source = Path(involution.__file__).read_text(encoding="utf-8")
+    walk = next(
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_walk"
+    )
+    checks = [
+        node
+        for node in ast.walk(walk)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value is False
+        and any(
+            isinstance(t, ast.Name) and (t.id == "elementwise" or t.id.endswith("_ok"))
+            for t in node.targets
+        )
+    ]
+    assert len(checks) >= 4
+    real = _walk_failures(involution, monkeypatch)
+    for node in checks:
+        tree = _Drop((node.lineno, node.col_offset)).visit(ast.parse(source))
+        mutant = types.ModuleType("cramerkit._mutant")
+        mutant.__package__ = "cramerkit"  # its relative imports bind the package
+        exec(compile(tree, involution.__file__, "exec"), mutant.__dict__)
+        missed = real - _walk_failures(mutant, monkeypatch)
+        assert missed, f"no walk fault needs line {node.lineno}: {ast.unparse(node)}"
+
+
 # -- certificates -------------------------------------------------------------------
 
 
@@ -445,8 +529,9 @@ def test_certificate_counts_n3_i2():
     assert len(cert.good) == math.factorial(3)
 
 
-def test_certificate_pair_order():
-    cert = build_certificate(generic_system(3), 1)
+@pytest.mark.parametrize("n, i", [(n, i) for n in range(1, 6) for i in range(1, n + 1)])
+def test_certificate_pair_order(n, i):
+    cert = build_certificate(generic_system(n), i)
     for lo, hi, _, _ in cert.bad_pairs:
         assert lo < hi
     keys = [lo for lo, _, _, _ in cert.bad_pairs]
@@ -574,12 +659,16 @@ def test_certificate_from_dict_rejects_malformed(mutate):
         (lambda d: d.update(bad_pairs={}), "bad_pairs must be a JSON array, got dict"),
         (lambda d: d["good"][0].update(pi=12), "pi must be a JSON array, got int"),
         (lambda d: d["bad_pairs"][0].update(sigma="21"), "sigma must be a JSON array"),
+        (
+            lambda d: d["good"][0].update(pi=[1.0, 2]),
+            r"value 1\.0 in \(1\.0, 2\) is not an integer",
+        ),
     ],
     ids=[
         "top-level", "good-entry", "bad-pair", "not-an-object", "n-0", "n-minus-1",
         "i-0", "i-past-n", "pi-repeated", "pi-out-of-range", "pi-empty",
         "sigma-repeated", "j-past-n", "j2-0", "good-not-array", "pairs-not-array",
-        "pi-not-array", "sigma-not-array",
+        "pi-not-array", "sigma-not-array", "pi-float",
     ],
 )
 def test_certificate_from_dict_names_the_flaw(mutate, message):
@@ -665,12 +754,25 @@ def _map_fixes_hi(d, m):
         (lambda d, m: d["bad_pairs"][0].update(weight2="0"), "pair weight mismatch"),
         (_partner_off_by_one, "not exact negations"),
         (lambda d, m: d.update(fact2_sum="1"), 'fact2_sum must render "0"'),
+        (
+            lambda d, m: d["good"][0].update(pi=[1, 2]),
+            r"permutation size 2 != system size 3 at good entry j=1 pi=\[1, 2\]$",
+        ),
+        (
+            lambda d, m: (d.update(i=3), d["good"][0].update(pi=[1, 2])),
+            r"permutation size 2 != system size 3 at good entry j=1 pi=\[1, 2\]$",
+        ),
+        (
+            lambda d, m: d["bad_pairs"][0].update(sigma=[1, 2]),
+            r"permutation size 2 != system size 3 at pair element j=2 pi=\[1, 2\]$",
+        ),
     ],
     ids=[
         "good-count", "pair-count", "bad-as-good", "good-swap", "good-repeat",
         "good-weight", "fact1-sum", "b-times-x0", "fact1-vs-b", "good-in-pair",
         "pair-flip", "pair-swap", "pair-repeat", "not-image", "not-image-back",
-        "pair-weight", "not-negations", "fact2-sum",
+        "pair-weight", "not-negations", "fact2-sum", "good-size", "good-size-i-3",
+        "pair-size",
     ],
 )
 def test_validate_rejects_each_flaw(monkeypatch, flaw, message):
