@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 Rational = Fraction
 
@@ -194,6 +194,12 @@ def _owned(terms: dict) -> "Polynomial":
     p = _new(Polynomial)
     p._terms = terms
     return p
+
+
+def _packed(p: "Polynomial") -> int:
+    # the packed monomial of p, which is one monomial with coefficient 1
+    (m,) = p._terms
+    return m
 
 
 def _fold(terms: dict, other: dict, sign: int = 1) -> None:
@@ -393,15 +399,13 @@ class Polynomial:
         Raises KeyError when the assignment misses a symbol of this
         polynomial.
         """
-        total = Fraction(0)
-        for mono, coeff in self.terms():
-            val = Fraction(coeff)
-            for sym, exp in mono:
-                if sym not in assignment:
-                    raise KeyError(f"assignment has no value for {sym}")
-                val *= Fraction(assignment[sym]) ** exp
-            total += val
-        return total
+
+        def value(sym: Symbol) -> Fraction:
+            if sym not in assignment:
+                raise KeyError(f"assignment has no value for {sym}")
+            return Fraction(assignment[sym])
+
+        return _substitute(self, value, Fraction(0))
 
     def render(self) -> str:
         """Bit-stable text form (see the module docstring for the grammar)."""
@@ -451,6 +455,23 @@ class _Sum:
         if self._terms is not None:
             self._total, self._terms = _owned(self._terms), None
         return self._total
+
+
+def _substitute(
+    p: Polynomial, value: Callable[[Symbol], "Scalar"], zero: "Scalar"
+) -> "Scalar":
+    # p with value(s) put in for every symbol s, summed from zero.  That is a
+    # ring homomorphism, so the result is exact; the values may be Fractions
+    # or Polynomials alike.
+    total = _Sum(zero)
+    for mono, coeff in p.terms():
+        term = coeff
+        for sym, exp in mono:
+            x = value(sym)
+            for _ in range(exp):
+                term = term * x
+        total.add(term)
+    return total.value()
 
 
 def _coerce(value: "Polynomial | int") -> Polynomial:

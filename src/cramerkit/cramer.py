@@ -239,7 +239,8 @@ def _identity_report(
 
 def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) -> Scalar:
     # w_j of the permutation with these values and sign; j = 0 gives w_0.
-    # The one product routine behind weight_w0/wj and the F_n walk.
+    # The one product routine, behind weight_w0/wj and so the certificate
+    # auditor; the F_n walk forms its weights as monomial keys instead.
     factors = [sys.entries[row - 1][k] for k, row in enumerate(values)]
     if j:
         factors[j - 1] = sys.rhs[values[j - 1] - 1]

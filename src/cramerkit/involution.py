@@ -22,22 +22,28 @@ checked elementwise / pairwise, because an aggregate zero alone could mask a
 broken pairing.  Fact 1's aggregate is checked against X_0 from the solver's
 kernel; fact 2's adds the pair sums, so it follows from the pairwise checks.
 One walk over S_n does every check; ``check_fact1``, ``check_fact2`` and
-``build_certificate`` are views of it.  The certificate serializes the whole
-verification -- every good element with its weight and every canceling
-pair, in a deterministic order, with bit-stable weight renderings -- and
+``build_certificate`` are views of it.  On the generic system each weight
+is +-1 times one monomial, and T keeps the monomial while it flips the
+sign, so the walk holds a weight as a packed monomial key and a sign and
+checks both facts on those; it decodes only the sums it reports and the
+weights it writes.  The certificate serializes the whole verification --
+every good element with its weight and every canceling pair, in a
+deterministic order, with bit-stable weight renderings -- and
 ``validate_certificate`` audits it independently, through ``FElement``,
 ``t_involution``, ``weight_W`` and ``big_x``: it shares the map with the
-walk, but no loop.
+walk, but no loop and no weight arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import chain
+from operator import getitem
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Scalar, _Sum, render_scalar
-from .cramer import SYMBOLIC, LinearSystem, _weight, big_x, generic_system, weight_wj
+from .algebra import Scalar, Symbol, _owned, _packed, _substitute, _Sum, render_scalar
+from .cramer import SYMBOLIC, LinearSystem, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
     Permutation,
@@ -203,26 +209,45 @@ def build_certificate(
 def _walk(
     sys: LinearSystem, i: int, max_n: int = MAX_N_DEFAULT, collect: bool = False
 ) -> tuple[Fact1Report, Fact2Report, PairingCertificate | None]:
-    """Check both facts for row i in one pass over S_n, on value tuples.
+    """Check both facts for row i in one pass over S_n, on monomial keys.
 
     An element is the row (j, values), 1-based as the certificate writes it,
-    and ``_partner`` gives its image.  The map checks run at every bad e: a
-    bad image t != e with T(t) = e makes T a fixed-point-free involution, so
-    each bad element lies in exactly one pair, which is settled once, at its
-    smaller element: the partner's inversion parity must differ from pi's,
-    and both weights are formed, the partner's from its own values and sign,
-    and must cancel.  A good element's W and w_0(pi) are formed once too.
-    Fact 1's aggregate takes b_i * X_0 from the kernel, not from the b_i * w_0
-    formed here.  With ``collect``, each row is formed as its final entry, in
-    a list per position j; the stream is in lexicographic order, so each list
-    is in canonical order and the lists, joined, are too.  Certify if all pass.
+    and ``_partner`` gives its image.  On the generic system every weight is
+    +-1 times one monomial, so the walk holds a weight as its packed key,
+    from ``_key`` (one integer sum), and its sign, from the stream or
+    ``_sign``.  A key adds one byte per factor, and a weight holds each
+    symbol at most once: one b factor, and a factors in distinct columns
+    (a[i, j] alone in column j).  So every byte is 0 or 1, and no key sum
+    reaches a guard bit.
+
+    A good element's W and w_0(pi) both take the sign of pi, so fact 1
+    elementwise compares their keys alone.  The map checks run at every bad
+    e: a bad image t != e with T(t) = e makes T a fixed-point-free
+    involution, so each bad element lies in exactly one pair, which is
+    settled once, at its smaller element: the partner's inversion parity
+    must differ from pi's, and the two weights, the partner's from its own
+    values and sign, cancel when their keys are equal and their signs
+    opposite.  Fact 1's aggregate takes b_i * X_0 from the kernel, not from
+    the keys formed here.
+
+    Both sums are key -> coefficient maps, decoded once at the end, as is
+    each certificate weight.  A system other than the generic one is walked
+    on the generic keys and gets the generic sums with its own entries put
+    in (``_substitute``, a ring homomorphism, so exact).  The walk shares no
+    weight arithmetic with ``validate_certificate``.  With ``collect``, each
+    row is formed as its final entry, in a list per position j; the stream
+    is in lexicographic order, so each list is in canonical order and the
+    lists, joined, are too.  Certify if all pass.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
-    a_i = sys.entries[i - 1]
-    b_i = sys.rhs_entry(i)
-    b_i_times_x0 = b_i * big_x(sys, 0, max_n=max_n)
-    good_sum, bad_sum = _Sum(sys.zero), _Sum(sys.zero)
+    b_i_times_x0 = sys.rhs_entry(i) * big_x(sys, 0, max_n=max_n)
+    gs = generic_system(sys.n)
+    keys = _key_table(gs, i)
+    kb_i = _packed(gs.rhs_entry(i))
+    decode = _owned if sys == gs else partial(_put_in, sys)
+    good: dict = {}  # key -> coefficient
+    bad: dict = {}  # the pairs that do not cancel, key -> coefficient
     elementwise = involution_ok = parity_ok = cancellation_ok = True
     good_count = bad_count = 0
     good_rows: list[list] = [[] for _ in range(sys.n)]  # one list per position j
@@ -232,12 +257,12 @@ def _walk(
             e = (j, values)
             if v == i:
                 good_count += 1
-                w = a_i[j - 1] * _weight(sys, values, sgn, j)
-                if w != b_i * _weight(sys, values, sgn):
+                w = _key(keys, values, j)
+                if w != kb_i + _key(keys, values):
                     elementwise = False
-                good_sum.add(w)
+                good[w] = good.get(w, 0) + sgn
                 if collect:
-                    good_rows[j - 1].append((_felement(e), render_scalar(w)))
+                    good_rows[j - 1].append((_felement(e), _render(decode, w, sgn)))
                 continue
             bad_count += 1
             j2, sigma = t = _partner(i, j, values)
@@ -248,18 +273,23 @@ def _walk(
             sgn_t = _sign(sigma)
             if sgn_t == sgn:
                 parity_ok = False  # the inversion counts differ by an even number
-            w_e = a_i[j - 1] * _weight(sys, values, sgn, j)
-            w_t = a_i[j2 - 1] * _weight(sys, sigma, sgn_t, j2)
-            pair_sum = w_e + w_t
-            if pair_sum != 0:
+            w_e = _key(keys, values, j)
+            w_t = _key(keys, sigma, j2)
+            if w_e != w_t or sgn_t == sgn:
                 cancellation_ok = False
-            bad_sum.add(pair_sum)
+                bad[w_e] = bad.get(w_e, 0) + sgn
+                bad[w_t] = bad.get(w_t, 0) + sgn_t
             if collect:
                 pair_rows[j - 1].append(
-                    (_felement(e), _felement(t), render_scalar(w_e), render_scalar(w_t))
+                    (
+                        _felement(e),
+                        _felement(t),
+                        _render(decode, w_e, sgn),
+                        _render(decode, w_t, sgn_t),
+                    )
                 )
 
-    good_sum, bad_sum = good_sum.value(), bad_sum.value()
+    good_sum, bad_sum = decode(_nonzero(good)), decode(_nonzero(bad))
     aggregate1 = good_sum == b_i_times_x0
     aggregate2 = bad_sum == 0
     fact1 = Fact1Report(
@@ -294,6 +324,45 @@ def _walk(
         fact2_sum=render_scalar(bad_sum),
     )
     return fact1, fact2, cert
+
+
+def _key_table(gs: LinearSystem, i: int) -> list[list[list[int]]]:
+    # keys[j][k][v]: the packed monomial of the factor in column k + 1 at
+    # value v (index 0 is unused) of W_i([j, pi]), or of w_0(pi) for j = 0.
+    # Column j of W_i holds a[i, j] * b[v]; every other column holds a[v, k].
+    cols = [[0, *(_packed(row[k]) for row in gs.entries)] for k in range(gs.n)]
+    kb = [0, *map(_packed, gs.rhs)]
+    keys = [cols]
+    for j in range(gs.n):
+        ka_ij = cols[j][i]
+        keys.append([*cols[:j], [0, *(ka_ij + k for k in kb[1:])], *cols[j + 1 :]])
+    return keys
+
+
+def _key(keys: list, values: tuple[int, ...], j: int = 0) -> int:
+    # the packed monomial of W_i([j, pi]), or of w_0(pi) for j = 0: one
+    # integer sum, a byte per factor
+    return sum(map(getitem, keys[j], values))
+
+
+def _nonzero(terms: dict) -> dict:
+    # terms without its zero coefficients, dropped in place
+    for m in [m for m, c in terms.items() if not c]:
+        del terms[m]
+    return terms
+
+
+def _put_in(sys: LinearSystem, terms: dict) -> Scalar:
+    # a generic key -> coefficient map with sys's own entries put in
+    def entry(s: Symbol) -> Scalar:
+        return sys.entry(s.row, s.col) if s.kind == "a" else sys.rhs_entry(s.row)
+
+    return _substitute(_owned(terms), entry, sys.zero)
+
+
+def _render(decode, key: int, sgn: int) -> str:
+    # a walk weight, +-1 times one monomial, as the certificate writes it
+    return render_scalar(decode({key: sgn}))
 
 
 def _felement(e: tuple[int, tuple[int, ...]]) -> FElement:
@@ -429,28 +498,37 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     prev = ()
     for lo, hi, w_lo, w_hi in cert.bad_pairs:
         _check_size(lo, cert.n, "pair element")
-        _check_size(hi, cert.n, "pair element")
+        _check_size(hi, cert.n, "pair element", _second)
         if is_good(cert.i, lo) or is_good(cert.i, hi):
-            raise ValueError(f"pair ({lo}, {hi}) contains a good element")
+            raise ValueError(f"pair ({lo}, {_second(hi)}) contains a good element")
         if not prev < lo < hi:
-            raise ValueError(f"pair ({lo}, {hi}) not in canonical order")
+            raise ValueError(f"pair ({lo}, {_second(hi)}) not in canonical order")
         prev = lo
         if t_involution(cert.i, lo) != hi or t_involution(cert.i, hi) != lo:
-            raise ValueError(f"{lo} and {hi} are not each other's pairing image")
+            raise ValueError(
+                f"{lo} and {_second(hi)} are not each other's pairing image"
+            )
         w = weight_W(sys, cert.i, lo)
         w2 = weight_W(sys, cert.i, hi)
         if render_scalar(w) != w_lo or render_scalar(w2) != w_hi:
-            raise ValueError(f"pair weight mismatch at ({lo}, {hi})")
+            raise ValueError(f"pair weight mismatch at ({lo}, {_second(hi)})")
         if w + w2 != 0:
             raise ValueError(f"pair weights are not exact negations at {lo}")
     if cert.fact2_sum != "0":
         raise ValueError(f'fact2_sum must render "0", got {cert.fact2_sum!r}')
 
 
-def _check_size(e: FElement, n: int, what: str) -> None:
+def _check_size(e: FElement, n: int, what: str, name=str) -> None:
     # the parser takes a permutation of any size; the audit names a wrong one
     if e.p.n != n:
-        raise ValueError(f"permutation size {e.p.n} != system size {n} at {what} {e}")
+        raise ValueError(
+            f"permutation size {e.p.n} != system size {n} at {what} {name(e)}"
+        )
+
+
+def _second(e: FElement) -> str:
+    # a pair's larger element, named by its keys j2 and sigma as the file writes it
+    return f"j2={e.j} sigma={list(e.p.values)}"
 
 
 def _fields(obj, keys: tuple, what: str) -> list:

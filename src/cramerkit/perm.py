@@ -148,7 +148,13 @@ def _swapped(v: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 
 
 def _inversions(v: tuple[int, ...]) -> int:
-    return sum(1 for x, y in itertools.combinations(v, 2) if x > y)
+    # each value x meets the larger values before it: the set bits of
+    # ``seen`` above bit x (bit x itself is clear, the values are distinct)
+    inv = seen = 0
+    for x in v:
+        inv += (seen >> x).bit_count()
+        seen |= 1 << x
+    return inv
 
 
 def _sign(v: tuple[int, ...]) -> int:

@@ -371,12 +371,13 @@ def test_check_involution_empty_certificate_path(capsys):
 
 
 def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
-    # one enumeration of S_5 and (n + 1) * n! = 720 weight evaluations:
-    # w_0 once per permutation, at its good element, plus each element of
-    # F_5 once; (n - 1) * n! / 2 = 240 partner parities, one per bad pair,
-    # at its smaller element; the fact-1 aggregate takes b_i * X_0 from one
-    # kernel call, a second algorithm to check the walk's good sum against
-    calls = {"enumerations": 0, "weights": 0, "signs": 0, "sums": 0}
+    # one enumeration of S_5 and (n + 1) * n! = 720 weight keys, each one
+    # integer sum: w_0 once per permutation, at its good element, plus each
+    # element of F_5 once; (n - 1) * n! / 2 = 240 partner parities, one per
+    # bad pair, at its smaller element; the fact-1 aggregate takes b_i * X_0
+    # from one kernel call, a second algorithm to check the walk's good sum
+    # against.  The walk forms no weight as a product of entries
+    calls = {"enumerations": 0, "weights": 0, "signs": 0, "sums": 0, "products": 0}
 
     def counting(module, name, key):
         inner = getattr(module, name)
@@ -389,16 +390,19 @@ def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
 
     counting(involution, "iter_signed_values", "enumerations")
     counting(involution, "enumerate_permutations", "enumerations")
-    counting(involution, "_weight", "weights")
+    counting(involution, "_key", "weights")
     counting(involution, "_sign", "signs")
     counting(cramer, "_leibniz", "sums")
+    counting(cramer, "_weight", "products")
     code, out, _ = run(
         capsys,
         "check-involution", "--n", "5", "--i", "2",
         "--emit-certificate", str(tmp_path / "cert.json"),
     )
     assert code == EXIT_OK and out.count("PASS") == 6
-    assert calls == {"enumerations": 1, "weights": 720, "signs": 240, "sums": 1}
+    assert calls == {
+        "enumerations": 1, "weights": 720, "signs": 240, "sums": 1, "products": 0
+    }
     cramer.solve(cramer.rational_system([[2]], [1]))
     assert calls["sums"] == 2  # the hook is the one every X_j sum goes through
 
@@ -406,12 +410,12 @@ def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
 def test_check_involution_failed_check_writes_no_certificate(
     tmp_path, capsys, monkeypatch
 ):
-    weight = involution._weight
+    key = involution._key
 
-    def off_by_one_w0(sys, values, sgn, j=0):
-        return weight(sys, values, sgn, j) + (1 if j == 0 else 0)
+    def wrong_w0(keys, values, j=0):
+        return key(keys, values, j) + (1 if j == 0 else 0)
 
-    monkeypatch.setattr(involution, "_weight", off_by_one_w0)
+    monkeypatch.setattr(involution, "_key", wrong_w0)
     cert_path = tmp_path / "cert.json"
     code, out, err = run(
         capsys,
@@ -599,6 +603,41 @@ def test_rejection_names_the_entry_as_the_file_writes_it(tmp_path, capsys):
     assert err == (
         "certificate rejected: good entry j=1 pi=[1, 2, 3] not in canonical order\n"
     )
+
+
+def _retarget(pair):
+    # the larger element of the first pair is j2=2 sigma=[1, 2, 3]
+    pair.update(j2=3, sigma=[1, 3, 2])
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda pair: pair.update(sigma=[1, 2]),
+            "permutation size 2 != system size 3 at pair element j2=2 sigma=[1, 2]",
+        ),
+        (
+            lambda pair: pair.update(j=1, pi=[1, 2, 3]),
+            "pair (j=1 pi=[1, 2, 3], j2=2 sigma=[1, 2, 3]) contains a good element",
+        ),
+        (
+            _retarget,
+            "j=1 pi=[2, 1, 3] and j2=3 sigma=[1, 3, 2]"
+            " are not each other's pairing image",
+        ),
+    ],
+    ids=["size", "good-element", "pairing-image"],
+)
+def test_rejection_names_a_pairs_larger_element_by_its_keys(
+    tmp_path, capsys, mutate, message
+):
+    data = json.loads(certificate_text(3, 1))
+    mutate(data["bad_pairs"][0])
+    path = write_doc(tmp_path, "cert.json", data)
+    code, out, err = run(capsys, "validate-certificate", "--input", path)
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == f"certificate rejected: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,13 +30,13 @@ from cramerkit import (
     weight_w0,
 )
 from cramerkit import involution
-from cramerkit.algebra import a_symbol, b_symbol, make_monomial, Polynomial
-from cramerkit.cramer import rational_system
+from cramerkit.algebra import _owned, a_symbol, b_symbol, make_monomial, Polynomial
+from cramerkit.cramer import LinearSystem, rational_system
 from cramerkit.involution import iter_elements
 from cramerkit.oracle import bareiss_det
-from cramerkit.perm import Permutation
+from cramerkit.perm import Permutation, iter_signed_values
 
-from _support import random_int_system
+from _support import random_fraction_system, random_int_system
 
 
 def mono(*symbols):
@@ -254,6 +255,74 @@ def test_facts_hold_numeric():
         assert check_fact2(sys, i).ok
 
 
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_facts_hold_seeded_numeric_up_to_4(kind):
+    # a numeric system is walked on the generic keys and gets the generic
+    # sums with its own entries put in: the good sum is b_i * det(A) and the
+    # bad sum a Fraction zero, as when its weights were formed one by one
+    rng = random.Random(23)
+    make = random_int_system if kind == "int" else random_fraction_system
+    for n in range(1, 5):
+        for _ in range(3):
+            sys = make(rng, n)
+            det = bareiss_det(sys)
+            for i in range(1, n + 1):
+                f1, f2, cert = involution._walk(sys, i)
+                assert f1.ok and f2.ok and cert is None
+                assert f1.good_sum == sys.rhs_entry(i) * det == f1.b_i_times_x0
+                assert type(f1.good_sum) is Fraction
+                assert type(f2.bad_sum) is Fraction and f2.bad_sum == 0
+                assert f1.good_count == math.factorial(n)
+                assert f2.bad_count == (n - 1) * math.factorial(n)
+
+
+def test_facts_hold_on_two_term_symbolic_entries():
+    # entries a[i,j] + 2*a[j,i] - 1 and right sides b[i] - a[i,i]: the
+    # reports carry this system's sums, weighed here one element at a time
+    n = 3
+    gs = generic_system(n)
+    entries = tuple(
+        tuple(gs.entry(r, c) + 2 * gs.entry(c, r) - 1 for c in range(1, n + 1))
+        for r in range(1, n + 1)
+    )
+    rhs = tuple(gs.rhs_entry(r) - gs.entry(r, r) for r in range(1, n + 1))
+    sys = LinearSystem(entries, rhs)
+    for i in range(1, n + 1):
+        f1, f2, _ = involution._walk(sys, i)
+        assert f1.ok and f2.ok
+        good = Polynomial.zero()
+        for e in iter_elements(n):
+            if is_good(i, e):
+                good = good + weight_W(sys, i, e)
+        assert f1.good_sum == good == sys.rhs_entry(i) * big_x(sys, 0)
+        assert isinstance(f2.bad_sum, Polynomial) and f2.bad_sum.is_zero
+        cert = build_certificate(sys, i)
+        assert cert.fact1_sum == good.render()
+        assert [w for _, w in cert.good] == [
+            weight_W(sys, i, e).render() for e, _ in cert.good
+        ]
+
+
+def test_every_weight_key_is_one_square_free_monomial():
+    # each key of the walk decodes to the monomial of the weight that the
+    # product routine forms, with every exponent at most 1
+    for n in range(1, 6):
+        gs = generic_system(n)
+        for i in range(1, n + 1):
+            keys = involution._key_table(gs, i)
+            for values, sgn in iter_signed_values(n):
+                p = Permutation(values)
+                for j in range(n + 1):
+                    w = _owned({involution._key(keys, values, j): sgn})
+                    ((mono, _),) = w.terms()
+                    assert all(exp == 1 for _, exp in mono)
+                    if n <= 4:
+                        expected = (
+                            weight_W(gs, i, FElement(j, p)) if j else weight_w0(gs, p)
+                        )
+                        assert w == expected
+
+
 def test_partition_covers_row_identity():
     # good sum + bad sum == sum_j a[i,j] X_j, the left side of the identity
     for n in range(1, 5):
@@ -267,25 +336,25 @@ def test_partition_covers_row_identity():
             assert f1.good_sum + f2.bad_sum == lhs
 
 
-def corrupt_weight(monkeypatch, target):
-    # the walk's weight routine, off by one at the element [j, pi] = target
-    weight = involution._weight
+def corrupt_key(monkeypatch, target):
+    # the walk's key routine, a wrong monomial at the element [j, pi] = target
+    key = involution._key
 
-    def corrupted(sys, values, sgn, j=0):
-        w = weight(sys, values, sgn, j)
-        return w + 1 if (j, values) == target else w
+    def corrupted(keys, values, j=0):
+        k = key(keys, values, j)
+        return k + 1 if (j, values) == target else k
 
-    monkeypatch.setattr(involution, "_weight", corrupted)
+    monkeypatch.setattr(involution, "_key", corrupted)
 
 
 def test_walk_checks_every_element(monkeypatch):
     # the walk weighs each bad pair once, at its smaller element; corrupting
-    # any single weight must still fail the check that covers it
+    # any single weight's key must still fail the check that covers it
     gs = generic_system(3)
     i = 2
     for e in iter_elements(3):
         with monkeypatch.context() as m:
-            corrupt_weight(m, (e.j, e.p.values))
+            corrupt_key(m, (e.j, e.p.values))
             f1 = check_fact1(gs, i)
             f2 = check_fact2(gs, i)
             if is_good(i, e):
@@ -349,7 +418,13 @@ FACT1_AGGREGATE_FAIL = "fact1 aggregate (good sum = b_i * X0): FAIL"
             {"involution_ok": False},
             INVOLUTION_FAIL,
         ),
-        (_partner_keeps_the_sign, check_fact2, {"parity_ok": False}, PARITY_FAIL),
+        (
+            _partner_keeps_the_sign,
+            check_fact2,
+            # the pair's weights then share a sign as well as a monomial
+            {"parity_ok": False, "cancellation_ok": False, "aggregate_ok": False},
+            PARITY_FAIL,
+        ),
         (
             _x0_off_by_one,
             check_fact1,
@@ -387,7 +462,6 @@ def test_walk_checks_the_pairing_map(
         assert not path.exists()
 
 
-# bound here, before a certificate flaw below reuses the name _x0_off_by_one
 WALK_FAULTS = (
     _image_is_itself,
     _image_is_good,
@@ -395,7 +469,7 @@ WALK_FAULTS = (
     _partner_keeps_the_sign,
     _x0_off_by_one,
 ) + tuple(
-    lambda m, target=(e.j, e.p.values): corrupt_weight(m, target)
+    lambda m, target=(e.j, e.p.values): corrupt_key(m, target)
     for e in iter_elements(3)
 )
 
@@ -695,7 +769,7 @@ def _flip(pair):
 HI = fel(2, [1, 2, 3])  # the larger element of the first pair
 
 
-def _x0_off_by_one(d, m):
+def _flaw_x0_off_by_one(d, m):
     # b_i_times_X0 agrees with a big_x that is off by one, fact1_sum does not
     gs = generic_system(3)
     d["b_i_times_X0"] = str(gs.rhs_entry(1) * (big_x(gs, 0) + 1))
@@ -735,7 +809,7 @@ def _map_fixes_hi(d, m):
         (lambda d, m: d["good"][0].update(weight="0"), "good weight mismatch"),
         (lambda d, m: d.update(fact1_sum="0"), "fact1_sum does not match"),
         (lambda d, m: d.update(b_i_times_X0="0"), "b_i_times_X0 does not match"),
-        (_x0_off_by_one, "fact1_sum != b_i_times_X0"),
+        (_flaw_x0_off_by_one, "fact1_sum != b_i_times_X0"),
         (
             lambda d, m: d["bad_pairs"][0].update(j=1, pi=[1, 2, 3]),
             "contains a good element",
@@ -764,7 +838,7 @@ def _map_fixes_hi(d, m):
         ),
         (
             lambda d, m: d["bad_pairs"][0].update(sigma=[1, 2]),
-            r"permutation size 2 != system size 3 at pair element j=2 pi=\[1, 2\]$",
+            r"permutation size 2 != system size 3 at pair element j2=2 sigma=\[1, 2\]$",
         ),
     ],
     ids=[

@@ -1,5 +1,6 @@
 """Permutation construction, enumeration, inversions, transpositions."""
 
+import itertools
 import math
 
 import pytest
@@ -119,6 +120,14 @@ def test_inversions_identity_is_zero():
 
 def test_inversions_reversed_three():
     assert inversions(make_permutation([3, 2, 1])) == 3
+
+
+def test_inversions_match_the_pairwise_count_exhaustive():
+    # the bit count against the definition: pairs of positions out of order
+    for n in range(1, 8):
+        for values in itertools.permutations(range(1, n + 1)):
+            pairwise = sum(1 for x, y in itertools.combinations(values, 2) if x > y)
+            assert inversions(Permutation(values)) == pairwise
 
 
 def test_sign_examples():
