@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 Rational = Fraction
@@ -103,8 +104,8 @@ MAX_EXPONENT = 127
 _GUARD_BYTE = MAX_EXPONENT + 1
 
 # The intern table: index -> symbol, index -> rendered name, symbol -> index,
-# and the guard bit of every interned symbol's byte.  It only grows; the
-# lock serializes additions, and lookups of known symbols take no lock.
+# and the guard bit of every interned symbol's byte.  It only grows, and
+# every lookup takes the lock, so no symbol is interned twice.
 _SYMBOLS: list[Symbol] = []
 _NAMES: list[str] = []
 _INDEX: dict[Symbol, int] = {}
@@ -113,17 +114,15 @@ _INTERN_LOCK = threading.Lock()
 
 
 def _intern(sym: Symbol) -> int:
-    k = _INDEX.get(sym)
-    if k is None:
-        global _GUARD
-        with _INTERN_LOCK:
-            k = _INDEX.get(sym)
-            if k is None:
-                k = len(_SYMBOLS)
-                _SYMBOLS.append(sym)
-                _NAMES.append(str(sym))
-                _GUARD |= _GUARD_BYTE << (8 * k)
-                _INDEX[sym] = k  # last, so a lock-free reader sees a full entry
+    global _GUARD
+    with _INTERN_LOCK:
+        k = _INDEX.get(sym)
+        if k is None:
+            k = len(_SYMBOLS)
+            _SYMBOLS.append(sym)
+            _NAMES.append(str(sym))
+            _GUARD |= _GUARD_BYTE << (8 * k)
+            _INDEX[sym] = k
     return k
 
 
@@ -429,32 +428,16 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-class _Sum:
-    """A running sum of Fractions or of Polynomials, added to in place.
-
-    ``p + q`` copies a polynomial's terms, so a sum of N polynomials taken
-    one ``+`` at a time costs O(N^2); :meth:`add` folds each summand into
-    one private map, which :meth:`value` hands to its result uncopied (a
-    later ``add`` goes through ``+``).  ``zero`` fixes the kind, and is the
-    sum of nothing.
-    """
-
-    __slots__ = ("_total", "_terms")
-
-    def __init__(self, zero: "Scalar"):
-        self._total = zero
-        self._terms = dict(zero._terms) if isinstance(zero, Polynomial) else None
-
-    def add(self, x: "Scalar") -> None:
-        if self._terms is None:
-            self._total = self._total + x
-        else:
-            _fold(self._terms, _coerce(x)._terms)
-
-    def value(self) -> "Scalar":
-        if self._terms is not None:
-            self._total, self._terms = _owned(self._terms), None
-        return self._total
+def _sum(xs: Iterable["Scalar"], zero: "Scalar") -> "Scalar":
+    # the sum of xs from zero, which fixes the kind and is the sum of nothing.
+    # p + q copies a polynomial's terms, so a sum of N polynomials taken one
+    # + at a time costs O(N^2); polynomials fold into one private map instead
+    if not isinstance(zero, Polynomial):
+        return sum(xs, zero)
+    terms = dict(zero._terms)
+    for x in xs:
+        _fold(terms, _coerce(x)._terms)
+    return _owned(terms)
 
 
 def _substitute(
@@ -463,15 +446,13 @@ def _substitute(
     # p with value(s) put in for every symbol s, summed from zero.  That is a
     # ring homomorphism, so the result is exact; the values may be Fractions
     # or Polynomials alike.
-    total = _Sum(zero)
-    for mono, coeff in p.terms():
-        term = coeff
-        for sym, exp in mono:
-            x = value(sym)
-            for _ in range(exp):
-                term = term * x
-        total.add(term)
-    return total.value()
+    return _sum(
+        (
+            reduce(mul, (x for s, exp in mono for x in [value(s)] * exp), coeff)
+            for mono, coeff in p.terms()
+        ),
+        zero,
+    )
 
 
 def _coerce(value: "Polynomial | int") -> Polynomial:

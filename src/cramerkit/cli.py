@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -223,8 +224,6 @@ def _cmd_check_involution(args) -> int:
         if cert is None:
             print("certificate not written: a check failed", file=sys.stderr)
             return EXIT_FAIL
-        import os  # only this branch uses it
-
         # written beside the target and renamed over it, so a failed write
         # leaves no partial file and any file already there as it was
         tmp = f"{args.emit_certificate}.{os.getpid()}.tmp"

@@ -39,7 +39,7 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .algebra import Polynomial, Scalar, _Sum, a_symbol, b_symbol, render_scalar
+from .algebra import Polynomial, Scalar, _sum, a_symbol, b_symbol, render_scalar
 from .perm import MAX_N_DEFAULT, Permutation, _check_guard, sign
 
 RATIONAL = "rational"
@@ -227,10 +227,7 @@ def _identity_report(
     sys: LinearSystem, i: int, xs: Sequence[Scalar]
 ) -> IdentityReport:
     # row identity i checked against precomputed [X_0, ..., X_n]
-    total = _Sum(sys.zero)
-    for j in range(1, sys.n + 1):
-        total.add(sys.entry(i, j) * xs[j])
-    lhs = total.value()
+    lhs = _sum((sys.entry(i, j) * xs[j] for j in range(1, sys.n + 1)), sys.zero)
     rhs = sys.rhs_entry(i) * xs[0]
     return IdentityReport(
         i=i, ok=(lhs == rhs), lhs=render_scalar(lhs), rhs=render_scalar(rhs)

@@ -26,12 +26,12 @@ One walk over S_n does every check; ``check_fact1``, ``check_fact2`` and
 is +-1 times one monomial, and T keeps the monomial while it flips the
 sign, so the walk holds a weight as a packed monomial key and a sign and
 checks both facts on those; it decodes only the sums it reports and the
-weights it writes.  The certificate serializes the whole verification --
-every good element with its weight and every canceling pair, in a
-deterministic order, with bit-stable weight renderings -- and
-``validate_certificate`` audits it independently, through ``FElement``,
-``t_involution``, ``weight_W`` and ``big_x``: it shares the map with the
-walk, but no loop and no weight arithmetic.
+weights it writes.  The certificate, of the generic system only,
+serializes the whole verification -- every good element with its weight
+and every canceling pair, in a deterministic order, with bit-stable
+weight renderings -- and ``validate_certificate`` audits it independently,
+through ``FElement``, ``t_involution``, ``weight_W`` and ``big_x``: it
+shares the map with the walk, but no loop and no weight arithmetic.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from itertools import chain
 from operator import getitem
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Scalar, Symbol, _owned, _packed, _substitute, _Sum, render_scalar
-from .cramer import SYMBOLIC, LinearSystem, big_x, generic_system, weight_wj
+from .algebra import Scalar, Symbol, _owned, _packed, _substitute, _sum, render_scalar
+from .cramer import LinearSystem, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
     Permutation,
@@ -172,6 +172,8 @@ def check_fact2(
 class PairingCertificate(NamedTuple):
     """Machine-checkable record of the good sum and the bad pairing.
 
+    It names no system: every weight is one of ``generic_system(n)``.
+
     Invariants (enforced by :func:`validate_certificate`):
     good and pair counts add up to n * n! with exactly n! good elements;
     each pair's two weights, each recomputed from its own element, cancel;
@@ -190,16 +192,18 @@ class PairingCertificate(NamedTuple):
 def build_certificate(
     sys: LinearSystem, i: int, max_n: int = MAX_N_DEFAULT
 ) -> PairingCertificate:
-    """Enumerate F_n and emit the full pairing certificate (symbolic mode).
+    """Enumerate F_n and emit the full pairing certificate of generic_system(n).
 
     Good entries are sorted by (j, permutation values); each bad pair is
     listed once, smaller element first, pairs sorted by their smaller
-    element.  Numeric systems are rejected: their weights can cancel by
-    accident, which makes the certificate meaningless.  Raises
-    RuntimeError when any fact 1 or fact 2 check fails.
+    element.  Any other system raises ValueError: the file names no system,
+    and :func:`validate_certificate` recomputes every weight on the generic
+    one, so it could audit no other (numeric weights can also cancel by
+    accident, which makes such a witness meaningless).  Raises RuntimeError
+    when any fact 1 or fact 2 check fails.
     """
-    if sys.mode != SYMBOLIC:
-        raise ValueError("certificates are only defined for symbolic systems")
+    if sys != generic_system(sys.n):
+        raise ValueError("certificates are only defined for generic_system(n)")
     cert = _walk(sys, i, max_n, collect=True)[2]
     if cert is None:
         raise RuntimeError(f"row {i} failed a fact 1 or fact 2 check")
@@ -230,14 +234,15 @@ def _walk(
     opposite.  Fact 1's aggregate takes b_i * X_0 from the kernel, not from
     the keys formed here.
 
-    Both sums are key -> coefficient maps, decoded once at the end, as is
-    each certificate weight.  A system other than the generic one is walked
-    on the generic keys and gets the generic sums with its own entries put
-    in (``_substitute``, a ring homomorphism, so exact).  The walk shares no
-    weight arithmetic with ``validate_certificate``.  With ``collect``, each
-    row is formed as its final entry, in a list per position j; the stream
-    is in lexicographic order, so each list is in canonical order and the
-    lists, joined, are too.  Certify if all pass.
+    Both sums are key -> coefficient maps, decoded once at the end.  A
+    system other than the generic one is walked on the generic keys and
+    gets the generic sums with its own entries put in (``_substitute``, a
+    ring homomorphism, so exact).  The walk shares no weight arithmetic
+    with ``validate_certificate``.  ``collect`` is for the generic system
+    only (``build_certificate`` checks that): each row is formed as its
+    final entry, its weights rendered from their keys, in a list per
+    position j; the stream is in lexicographic order, so each list is in
+    canonical order and the lists, joined, are too.  Certify if all pass.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
@@ -262,7 +267,7 @@ def _walk(
                     elementwise = False
                 good[w] = good.get(w, 0) + sgn
                 if collect:
-                    good_rows[j - 1].append((_felement(e), _render(decode, w, sgn)))
+                    good_rows[j - 1].append((_felement(e), _render(w, sgn)))
                 continue
             bad_count += 1
             j2, sigma = t = _partner(i, j, values)
@@ -284,8 +289,8 @@ def _walk(
                     (
                         _felement(e),
                         _felement(t),
-                        _render(decode, w_e, sgn),
-                        _render(decode, w_t, sgn_t),
+                        _render(w_e, sgn),
+                        _render(w_t, sgn_t),
                     )
                 )
 
@@ -360,9 +365,9 @@ def _put_in(sys: LinearSystem, terms: dict) -> Scalar:
     return _substitute(_owned(terms), entry, sys.zero)
 
 
-def _render(decode, key: int, sgn: int) -> str:
+def _render(key: int, sgn: int) -> str:
     # a walk weight, +-1 times one monomial, as the certificate writes it
-    return render_scalar(decode({key: sgn}))
+    return render_scalar(_owned({key: sgn}))
 
 
 def _felement(e: tuple[int, tuple[int, ...]]) -> FElement:
@@ -474,20 +479,22 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
         raise ValueError("good + 2 * pairs must cover all n * n! elements")
     sys = generic_system(cert.n)
 
-    prev: tuple = ()  # the previous entry; () sorts before every element
-    total = _Sum(sys.zero)
-    for e, w in cert.good:
-        _check_size(e, cert.n, "good entry")
-        if not is_good(cert.i, e):
-            raise ValueError(f"{e} listed as good but is bad")
-        if not prev < e:
-            raise ValueError(f"good entry {e} not in canonical order")
-        prev = e
-        recomputed = weight_W(sys, cert.i, e)
-        if render_scalar(recomputed) != w:
-            raise ValueError(f"good weight mismatch at {e}")
-        total.add(recomputed)
-    if render_scalar(total.value()) != cert.fact1_sum:
+    def good_weights() -> Iterator[Scalar]:
+        # each good entry's weight, recomputed, once the entry is checked
+        prev: tuple = ()  # the previous entry; () sorts before every element
+        for e, w in cert.good:
+            _check_size(e, cert.n, "good entry")
+            if not is_good(cert.i, e):
+                raise ValueError(f"{e} listed as good but is bad")
+            if not prev < e:
+                raise ValueError(f"good entry {e} not in canonical order")
+            prev = e
+            recomputed = weight_W(sys, cert.i, e)
+            if render_scalar(recomputed) != w:
+                raise ValueError(f"good weight mismatch at {e}")
+            yield recomputed
+
+    if render_scalar(_sum(good_weights(), sys.zero)) != cert.fact1_sum:
         raise ValueError("fact1_sum does not match the good weights")
     expected = sys.rhs_entry(cert.i) * big_x(sys, 0, max_n=max_n)
     if render_scalar(expected) != cert.b_i_times_x0:
@@ -495,7 +502,7 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     if cert.fact1_sum != cert.b_i_times_x0:
         raise ValueError("fact1_sum != b_i_times_X0")
 
-    prev = ()
+    prev: tuple = ()
     for lo, hi, w_lo, w_hi in cert.bad_pairs:
         _check_size(lo, cert.n, "pair element")
         _check_size(hi, cert.n, "pair element", _second)

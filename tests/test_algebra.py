@@ -2,12 +2,14 @@
 
 import copy
 import json
+import operator
 import os
 import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from cramerkit.algebra import (
     MAX_EXPONENT,
     Polynomial,
     Symbol,
-    _Sum,
+    _sum,
     a_symbol,
     b_symbol,
     evaluate,
@@ -221,18 +223,30 @@ def test_add_cancels_to_zero():
     assert poly_add(p, poly_negate(p)).render() == "0"
 
 
-def test_sum_value_is_not_changed_by_a_later_add():
-    # value() hands its map over uncopied; a later add must not reach it
-    cases = [(Polynomial.zero(), term(2, A11, B1)), (Fraction(0), Fraction(1, 3))]
-    for zero, x in cases:
-        total = _Sum(zero)
-        total.add(x)
-        first = total.value()
-        total.add(x)
-        total.add(x + x)
-        assert first == x
-        assert total.value() == 4 * x
-        assert first == x
+@given(
+    st.one_of(
+        st.tuples(st.just(Fraction(0)), st.lists(rationals, max_size=6)),
+        st.tuples(
+            st.just(Polynomial.zero()),
+            st.lists(st.one_of(polys, st.integers(-3, 3)), max_size=6),
+        ),
+    ),
+    st.booleans(),
+)
+def test_sum_matches_a_fold_of_add(case, cancel):
+    # _sum agrees with + taken one summand at a time and keeps the zero's
+    # kind, also for no summands or summands that all cancel; it changes
+    # neither the zero nor a summand
+    zero, xs = case
+    if cancel:
+        xs = xs + [-x for x in reversed(xs)]
+    before = copy.deepcopy(xs)
+    total = _sum(iter(xs), zero)
+    assert total == reduce(operator.add, xs, zero)
+    assert type(total) is type(zero)
+    assert xs == before and zero == 0
+    if cancel:
+        assert total == 0
 
 
 def test_mul_single_terms():

@@ -276,17 +276,22 @@ def test_facts_hold_seeded_numeric_up_to_4(kind):
                 assert f2.bad_count == (n - 1) * math.factorial(n)
 
 
-def test_facts_hold_on_two_term_symbolic_entries():
-    # entries a[i,j] + 2*a[j,i] - 1 and right sides b[i] - a[i,i]: the
-    # reports carry this system's sums, weighed here one element at a time
-    n = 3
+def two_term_system(n):
+    # entries a[i,j] + 2*a[j,i] - 1 and right sides b[i] - a[i,i]
     gs = generic_system(n)
     entries = tuple(
         tuple(gs.entry(r, c) + 2 * gs.entry(c, r) - 1 for c in range(1, n + 1))
         for r in range(1, n + 1)
     )
     rhs = tuple(gs.rhs_entry(r) - gs.entry(r, r) for r in range(1, n + 1))
-    sys = LinearSystem(entries, rhs)
+    return LinearSystem(entries, rhs)
+
+
+def test_facts_hold_on_two_term_symbolic_entries():
+    # the reports carry this system's sums, weighed here one element at a
+    # time; a certificate, which names no system, is refused
+    n = 3
+    sys = two_term_system(n)
     for i in range(1, n + 1):
         f1, f2, _ = involution._walk(sys, i)
         assert f1.ok and f2.ok
@@ -296,11 +301,8 @@ def test_facts_hold_on_two_term_symbolic_entries():
                 good = good + weight_W(sys, i, e)
         assert f1.good_sum == good == sys.rhs_entry(i) * big_x(sys, 0)
         assert isinstance(f2.bad_sum, Polynomial) and f2.bad_sum.is_zero
-        cert = build_certificate(sys, i)
-        assert cert.fact1_sum == good.render()
-        assert [w for _, w in cert.good] == [
-            weight_W(sys, i, e).render() for e, _ in cert.good
-        ]
+        with pytest.raises(ValueError):
+            build_certificate(sys, i)
 
 
 def test_every_weight_key_is_one_square_free_monomial():
@@ -501,7 +503,7 @@ def _walk_failures(module, monkeypatch):
 
 
 class _Drop(ast.NodeTransformer):
-    # replaces the assignment at one (line, column) by `pass`
+    # replaces the assignment or raise at one (line, column) by `pass`
     def __init__(self, where):
         self.where = where
 
@@ -510,16 +512,34 @@ class _Drop(ast.NodeTransformer):
             return ast.copy_location(ast.Pass(), node)
         return node
 
+    visit_Raise = visit_Assign
+
+
+SOURCE = Path(involution.__file__).read_text(encoding="utf-8")
+
+
+def _functions(*names):
+    # the definitions of the named top-level functions of involution
+    return [
+        node
+        for node in ast.parse(SOURCE).body
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+
+
+def _mutant(node):
+    # a fresh copy of involution with the statement node replaced by `pass`
+    tree = _Drop((node.lineno, node.col_offset)).visit(ast.parse(SOURCE))
+    mutant = types.ModuleType("cramerkit._mutant")
+    mutant.__package__ = "cramerkit"  # its relative imports bind the package
+    exec(compile(tree, involution.__file__, "exec"), mutant.__dict__)
+    return mutant
+
 
 def test_every_walk_check_can_fail(monkeypatch):
     # each statement of _walk that records a failed check is needed: with it
     # replaced by `pass`, some walk fault the real module reports goes unseen
-    source = Path(involution.__file__).read_text(encoding="utf-8")
-    walk = next(
-        node
-        for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name == "_walk"
-    )
+    (walk,) = _functions("_walk")
     checks = [
         node
         for node in ast.walk(walk)
@@ -534,11 +554,7 @@ def test_every_walk_check_can_fail(monkeypatch):
     assert len(checks) >= 4
     real = _walk_failures(involution, monkeypatch)
     for node in checks:
-        tree = _Drop((node.lineno, node.col_offset)).visit(ast.parse(source))
-        mutant = types.ModuleType("cramerkit._mutant")
-        mutant.__package__ = "cramerkit"  # its relative imports bind the package
-        exec(compile(tree, involution.__file__, "exec"), mutant.__dict__)
-        missed = real - _walk_failures(mutant, monkeypatch)
+        missed = real - _walk_failures(_mutant(node), monkeypatch)
         assert missed, f"no walk fault needs line {node.lineno}: {ast.unparse(node)}"
 
 
@@ -632,9 +648,14 @@ def test_validate_checks_the_guard_before_building(monkeypatch):
         validate_certificate(cert)
 
 
-def test_certificate_rejects_numeric_systems():
-    sys = random_int_system(random.Random(5), 2)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "sys",
+    [random_int_system(random.Random(5), 2), two_term_system(2)],
+    ids=["numeric", "two-term"],
+)
+def test_certificate_rejects_numeric_systems(sys):
+    # only generic_system(n) has a certificate: the file names no system
+    with pytest.raises(ValueError, match=r"only defined for generic_system\(n\)"):
         build_certificate(sys, 1)
 
 
@@ -703,48 +724,53 @@ def test_certificate_from_dict_rejects_malformed(mutate):
         certificate_from_dict(data)
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (
-            lambda d: d.update(comment="x", b=0),
-            r"unknown keys \['b', 'comment'\] in the certificate",
-        ),
-        (
-            lambda d: d["good"][0].update(extra=1),
-            r"unknown keys \['extra'\] in a good entry",
-        ),
-        (
-            lambda d: d["bad_pairs"][0].update(note=1),
-            r"unknown keys \['note'\] in a bad pair",
-        ),
-        (lambda d: d["good"].__setitem__(0, []), "a good entry must be a JSON object"),
-        (lambda d: d.update(n=0), "n must be a positive integer, got 0"),
-        (lambda d: d.update(n=-1), "n must be a positive integer, got -1"),
-        (lambda d: d.update(i=0), r"i=0 outside 1\.\.2"),
-        (lambda d: d.update(i=3), r"i=3 outside 1\.\.2"),
-        (lambda d: d["good"][0].update(pi=[1, 1]), r"repeated value in \(1, 1\)"),
-        (lambda d: d["good"][0].update(pi=[1, 3]), r"value 3 outside 1\.\.2"),
-        (lambda d: d["good"][0].update(pi=[]), "a permutation needs at least one"),
-        (lambda d: d["bad_pairs"][0].update(sigma=[2, 2]), r"repeated value in \(2, "),
-        (lambda d: d["good"][0].update(j=7), r"j=7 outside 1\.\.2"),
-        (lambda d: d["bad_pairs"][0].update(j2=0), r"j2=0 outside 1\.\.2"),
-        (lambda d: d.update(good=1), "good must be a JSON array, got int"),
-        (lambda d: d.update(bad_pairs={}), "bad_pairs must be a JSON array, got dict"),
-        (lambda d: d["good"][0].update(pi=12), "pi must be a JSON array, got int"),
-        (lambda d: d["bad_pairs"][0].update(sigma="21"), "sigma must be a JSON array"),
-        (
-            lambda d: d["good"][0].update(pi=[1.0, 2]),
-            r"value 1\.0 in \(1\.0, 2\) is not an integer",
-        ),
-    ],
-    ids=[
-        "top-level", "good-entry", "bad-pair", "not-an-object", "n-0", "n-minus-1",
-        "i-0", "i-past-n", "pi-repeated", "pi-out-of-range", "pi-empty",
-        "sigma-repeated", "j-past-n", "j2-0", "good-not-array", "pairs-not-array",
-        "pi-not-array", "sigma-not-array", "pi-float",
-    ],
-)
+# one flaw per rejection of certificate_from_dict, on the n = 2, i = 1
+# certificate
+PARSE_FLAWS = [
+    (
+        lambda d: d.update(comment="x", b=0),
+        r"unknown keys \['b', 'comment'\] in the certificate",
+    ),
+    (
+        lambda d: d["good"][0].update(extra=1),
+        r"unknown keys \['extra'\] in a good entry",
+    ),
+    (
+        lambda d: d["bad_pairs"][0].update(note=1),
+        r"unknown keys \['note'\] in a bad pair",
+    ),
+    (lambda d: d["good"].__setitem__(0, []), "a good entry must be a JSON object"),
+    (lambda d: d.update(n=0), "n must be a positive integer, got 0"),
+    (lambda d: d.update(n=-1), "n must be a positive integer, got -1"),
+    (lambda d: d.update(i=0), r"i=0 outside 1\.\.2"),
+    (lambda d: d.update(i=3), r"i=3 outside 1\.\.2"),
+    (lambda d: d["good"][0].update(pi=[1, 1]), r"repeated value in \(1, 1\)"),
+    (lambda d: d["good"][0].update(pi=[1, 3]), r"value 3 outside 1\.\.2"),
+    (lambda d: d["good"][0].update(pi=[]), "a permutation needs at least one"),
+    (lambda d: d["bad_pairs"][0].update(sigma=[2, 2]), r"repeated value in \(2, "),
+    (lambda d: d["good"][0].update(j=7), r"j=7 outside 1\.\.2"),
+    (lambda d: d["bad_pairs"][0].update(j2=0), r"j2=0 outside 1\.\.2"),
+    (lambda d: d.update(good=1), "good must be a JSON array, got int"),
+    (lambda d: d.update(bad_pairs={}), "bad_pairs must be a JSON array, got dict"),
+    (lambda d: d["good"][0].update(pi=12), "pi must be a JSON array, got int"),
+    (lambda d: d["bad_pairs"][0].update(sigma="21"), "sigma must be a JSON array"),
+    (
+        lambda d: d["good"][0].update(pi=[1.0, 2]),
+        r"value 1\.0 in \(1\.0, 2\) is not an integer",
+    ),
+    (lambda d: d.update(n="2"), "n must be an integer, got '2'"),
+    (lambda d: d["good"][0].update(weight=3), "weight must be a string, got 3"),
+]
+PARSE_FLAW_IDS = [
+    "top-level", "good-entry", "bad-pair", "not-an-object", "n-0", "n-minus-1",
+    "i-0", "i-past-n", "pi-repeated", "pi-out-of-range", "pi-empty",
+    "sigma-repeated", "j-past-n", "j2-0", "good-not-array", "pairs-not-array",
+    "pi-not-array", "sigma-not-array", "pi-float",
+    "n-not-int", "weight-not-string",
+]
+
+
+@pytest.mark.parametrize("mutate, message", PARSE_FLAWS, ids=PARSE_FLAW_IDS)
 def test_certificate_from_dict_names_the_flaw(mutate, message):
     data = certificate_to_dict(build_certificate(generic_system(2), 1))
     mutate(data)
@@ -795,60 +821,60 @@ def _map_fixes_hi(d, m):
     m.setattr(involution, "t_involution", lambda i, e: e if e == HI else t(i, e))
 
 
-@pytest.mark.parametrize(
-    "flaw, message",
-    [
-        (lambda d, m: d["good"].pop(), "expected 6 good entries, found 5"),
-        (lambda d, m: d["bad_pairs"].pop(), r"good \+ 2 \* pairs must cover"),
-        (lambda d, m: d["good"][0].update(pi=[2, 1, 3]), "listed as good but is bad"),
-        (lambda d, m: _swap(d["good"], 2), "good entry .* not in canonical order"),
-        (
-            lambda d, m: d["good"].__setitem__(1, d["good"][0]),
-            "good entry .* not in canonical order",
-        ),
-        (lambda d, m: d["good"][0].update(weight="0"), "good weight mismatch"),
-        (lambda d, m: d.update(fact1_sum="0"), "fact1_sum does not match"),
-        (lambda d, m: d.update(b_i_times_X0="0"), "b_i_times_X0 does not match"),
-        (_flaw_x0_off_by_one, "fact1_sum != b_i_times_X0"),
-        (
-            lambda d, m: d["bad_pairs"][0].update(j=1, pi=[1, 2, 3]),
-            "contains a good element",
-        ),
-        (lambda d, m: _flip(d["bad_pairs"][0]), "not in canonical order"),
-        (lambda d, m: _swap(d["bad_pairs"], 2), "not in canonical order"),
-        (
-            lambda d, m: d["bad_pairs"].__setitem__(1, d["bad_pairs"][0]),
-            "not in canonical order",
-        ),
-        (
-            lambda d, m: d["bad_pairs"][0].update(j2=3, sigma=[1, 3, 2]),
-            "not each other's pairing image",
-        ),
-        (_map_fixes_hi, "not each other's pairing image"),
-        (lambda d, m: d["bad_pairs"][0].update(weight2="0"), "pair weight mismatch"),
-        (_partner_off_by_one, "not exact negations"),
-        (lambda d, m: d.update(fact2_sum="1"), 'fact2_sum must render "0"'),
-        (
-            lambda d, m: d["good"][0].update(pi=[1, 2]),
-            r"permutation size 2 != system size 3 at good entry j=1 pi=\[1, 2\]$",
-        ),
-        (
-            lambda d, m: (d.update(i=3), d["good"][0].update(pi=[1, 2])),
-            r"permutation size 2 != system size 3 at good entry j=1 pi=\[1, 2\]$",
-        ),
-        (
-            lambda d, m: d["bad_pairs"][0].update(sigma=[1, 2]),
-            r"permutation size 2 != system size 3 at pair element j2=2 sigma=\[1, 2\]$",
-        ),
-    ],
-    ids=[
-        "good-count", "pair-count", "bad-as-good", "good-swap", "good-repeat",
-        "good-weight", "fact1-sum", "b-times-x0", "fact1-vs-b", "good-in-pair",
-        "pair-flip", "pair-swap", "pair-repeat", "not-image", "not-image-back",
-        "pair-weight", "not-negations", "fact2-sum", "good-size", "good-size-i-3",
-        "pair-size",
-    ],
-)
+AUDIT_FLAWS = [
+    (lambda d, m: d["good"].pop(), "expected 6 good entries, found 5"),
+    (lambda d, m: d["bad_pairs"].pop(), r"good \+ 2 \* pairs must cover"),
+    (lambda d, m: d["good"][0].update(pi=[2, 1, 3]), "listed as good but is bad"),
+    (lambda d, m: _swap(d["good"], 2), "good entry .* not in canonical order"),
+    (
+        lambda d, m: d["good"].__setitem__(1, d["good"][0]),
+        "good entry .* not in canonical order",
+    ),
+    (lambda d, m: d["good"][0].update(weight="0"), "good weight mismatch"),
+    (lambda d, m: d.update(fact1_sum="0"), "fact1_sum does not match"),
+    (lambda d, m: d.update(b_i_times_X0="0"), "b_i_times_X0 does not match"),
+    (_flaw_x0_off_by_one, "fact1_sum != b_i_times_X0"),
+    (
+        lambda d, m: d["bad_pairs"][0].update(j=1, pi=[1, 2, 3]),
+        "contains a good element",
+    ),
+    (lambda d, m: _flip(d["bad_pairs"][0]), "not in canonical order"),
+    (lambda d, m: _swap(d["bad_pairs"], 2), "not in canonical order"),
+    (
+        lambda d, m: d["bad_pairs"].__setitem__(1, d["bad_pairs"][0]),
+        "not in canonical order",
+    ),
+    (
+        lambda d, m: d["bad_pairs"][0].update(j2=3, sigma=[1, 3, 2]),
+        "not each other's pairing image",
+    ),
+    (_map_fixes_hi, "not each other's pairing image"),
+    (lambda d, m: d["bad_pairs"][0].update(weight2="0"), "pair weight mismatch"),
+    (_partner_off_by_one, "not exact negations"),
+    (lambda d, m: d.update(fact2_sum="1"), 'fact2_sum must render "0"'),
+    (
+        lambda d, m: d["good"][0].update(pi=[1, 2]),
+        r"permutation size 2 != system size 3 at good entry j=1 pi=\[1, 2\]$",
+    ),
+    (
+        lambda d, m: (d.update(i=3), d["good"][0].update(pi=[1, 2])),
+        r"permutation size 2 != system size 3 at good entry j=1 pi=\[1, 2\]$",
+    ),
+    (
+        lambda d, m: d["bad_pairs"][0].update(sigma=[1, 2]),
+        r"permutation size 2 != system size 3 at pair element j2=2 sigma=\[1, 2\]$",
+    ),
+]
+AUDIT_FLAW_IDS = [
+    "good-count", "pair-count", "bad-as-good", "good-swap", "good-repeat",
+    "good-weight", "fact1-sum", "b-times-x0", "fact1-vs-b", "good-in-pair",
+    "pair-flip", "pair-swap", "pair-repeat", "not-image", "not-image-back",
+    "pair-weight", "not-negations", "fact2-sum", "good-size", "good-size-i-3",
+    "pair-size",
+]
+
+
+@pytest.mark.parametrize("flaw, message", AUDIT_FLAWS, ids=AUDIT_FLAW_IDS)
 def test_validate_rejects_each_flaw(monkeypatch, flaw, message):
     data = certificate_to_dict(build_certificate(generic_system(3), 1))
     first = data["bad_pairs"][0]
@@ -856,3 +882,44 @@ def test_validate_rejects_each_flaw(monkeypatch, flaw, message):
     flaw(data, monkeypatch)
     with pytest.raises(ValueError, match=message):
         validate_certificate(certificate_from_dict(data))
+
+
+def _flaw_outcomes(module, monkeypatch):
+    # for each parser and auditor flaw, what module makes of the flawed file:
+    # None when it is accepted, else the exception's type and message
+    parse = [(2, lambda d, m, f=f: f(d)) for f, _ in PARSE_FLAWS]
+    audit = [(3, f) for f, _ in AUDIT_FLAWS]
+    texts = {
+        n: json.dumps(certificate_to_dict(build_certificate(generic_system(n), 1)))
+        for n in (2, 3)
+    }
+    outcomes = []
+    for n, flaw in parse + audit:
+        data = json.loads(texts[n])
+        with monkeypatch.context() as m:
+            flaw(data, _PatchCopy(m, module))
+            try:
+                module.validate_certificate(module.certificate_from_dict(data))
+            except Exception as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+            else:
+                outcomes.append(None)
+    return outcomes
+
+
+def test_every_audit_and_parse_check_can_fail(monkeypatch):
+    # each raise of the auditor and the parser is needed: with it replaced by
+    # `pass`, some flaw that the real module rejects is accepted or rejected
+    # with another message.  A raise that no flaw reaches needs a new flaw,
+    # or, if it provably cannot fire, deleting with that proof
+    functions = _functions(
+        "validate_certificate", "certificate_from_dict", "_check_size",
+        "_fields", "_element", "_expect_list", "_expect_int", "_expect_str",
+    )
+    raises = [n for f in functions for n in ast.walk(f) if isinstance(n, ast.Raise)]
+    assert len(raises) == 24
+    real = _flaw_outcomes(involution, monkeypatch)
+    assert None not in real
+    for node in raises:
+        mutant = _flaw_outcomes(_mutant(node), monkeypatch)
+        assert mutant != real, f"no flaw needs line {node.lineno}: {ast.unparse(node)}"
