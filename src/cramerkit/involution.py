@@ -16,8 +16,9 @@ sum_j a[i,j] X_j = b[i] X_0.  The elements split into two camps:
   and flips the weight's sign, so the bad elements cancel in pairs and sum
   to zero (fact 2).
 
-The pairing map is coded once, in ``_partner``, on 1-based positions and
-value tuples; the walk and ``t_involution`` both call it.  Both facts are
+The pairing map is coded once for the checks, in ``_partner``, on 1-based
+positions and value tuples; the walk and ``t_involution`` both call it, and
+only the certificate auditor keeps its own copy.  Both facts are
 checked elementwise / pairwise, because an aggregate zero alone could mask a
 broken pairing.  Fact 1's aggregate is checked against X_0 from the solver's
 kernel; fact 2's adds the pair sums, so it follows from the pairwise checks.
@@ -29,20 +30,22 @@ checks both facts on those; it decodes only the sums it reports and the
 weights it writes.  The certificate, of the generic system only,
 serializes the whole verification -- every good element with its weight
 and every canceling pair, in a deterministic order, with bit-stable
-weight renderings -- and ``validate_certificate`` audits it independently,
-through ``FElement``, ``t_involution``, ``weight_W`` and ``big_x``: it
-shares the map with the walk, but no loop and no weight arithmetic.
+weight renderings -- and ``validate_certificate`` audits it independently:
+it builds each weight's text from (i, j, pi) and each pairing image with
+its own swap, and takes b_i * X_0 from ``big_x``.  It shares no loop, no
+weight arithmetic, no rendering and no pairing code with the walk, only
+the file format.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import chain
-from operator import getitem
+from functools import cache, partial
+from itertools import chain, combinations, starmap
+from operator import getitem, gt
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Scalar, Symbol, _owned, _packed, _substitute, _sum, render_scalar
+from .algebra import Scalar, Symbol, _owned, _packed, _substitute, render_scalar
 from .cramer import LinearSystem, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
@@ -237,12 +240,16 @@ def _walk(
     Both sums are key -> coefficient maps, decoded once at the end.  A
     system other than the generic one is walked on the generic keys and
     gets the generic sums with its own entries put in (``_substitute``, a
-    ring homomorphism, so exact).  The walk shares no weight arithmetic
-    with ``validate_certificate``.  ``collect`` is for the generic system
-    only (``build_certificate`` checks that): each row is formed as its
-    final entry, its weights rendered from their keys, in a list per
-    position j; the stream is in lexicographic order, so each list is in
-    canonical order and the lists, joined, are too.  Certify if all pass.
+    ring homomorphism, so exact).  The walk shares no weight arithmetic,
+    rendering or pairing code with ``validate_certificate``.  ``collect``
+    is for the generic system only (``build_certificate`` checks that):
+    each row is formed as its final entry, in a list per position j.  A
+    good weight is rendered from its key; a pair's first weight too, and
+    its second is that text with the sign flipped, which is the partner's
+    own weight whenever the pair cancels, the only case in which a
+    certificate is returned.  The stream is in lexicographic order, so
+    each list is in canonical order and the lists, joined, are too.
+    Certify if all pass.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
@@ -285,14 +292,9 @@ def _walk(
                 bad[w_e] = bad.get(w_e, 0) + sgn
                 bad[w_t] = bad.get(w_t, 0) + sgn_t
             if collect:
-                pair_rows[j - 1].append(
-                    (
-                        _felement(e),
-                        _felement(t),
-                        _render(w_e, sgn),
-                        _render(w_t, sgn_t),
-                    )
-                )
+                text = _render(w_e, sgn)  # a certified pair has w_t = w_e, -sgn
+                text_t = text[1:] if sgn < 0 else "-" + text
+                pair_rows[j - 1].append((_felement(e), _felement(t), text, text_t))
 
     good_sum, bad_sum = decode(_nonzero(good)), decode(_nonzero(bad))
     aggregate1 = good_sum == b_i_times_x0
@@ -456,13 +458,18 @@ def certificate_from_dict(data: dict) -> PairingCertificate:
 def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -> None:
     """Re-derive every certificate invariant; raise ValueError on the first failure.
 
-    Weights are recomputed from (i, j, pi) on the generic system and
-    re-rendered, so a loaded file is checked against the arithmetic itself,
-    not just against its own internal consistency.  Both elements of a pair
-    are weighed, and their weights must cancel: the partner's weight is
-    never taken as the negation of the other.  The size guard and the
-    entry counts are checked before the generic system is built, and each
-    entry's permutation size before anything else about the entry.
+    Each weight's text is built from (i, j, pi) alone, by ``_weight_text``,
+    and compared with the file's; the pairing image comes from the
+    auditor's own swap, ``_image``.  So the audit shares no weight
+    arithmetic, no rendering and no pairing code with the walk that wrote
+    the file: only the file format.  Both elements of a pair are weighed
+    from their own values, and a pair cancels when one text is the other
+    with a leading "-": the partner's weight is never taken as the negation
+    of the other.  fact1_sum must hold, as a multiset of signed terms, the
+    good texts; b_i_times_X0 must render b_i * X_0 from the solver's kernel,
+    and equal fact1_sum.  The size guard and the entry counts are checked
+    before the generic system is built, and each entry's permutation size
+    before anything else about the entry.
 
     The canonical order, the tuple order of the elements (j, pi), proves that
     F_n is covered once: good entries and the pairs' smaller elements lo
@@ -472,57 +479,94 @@ def validate_certificate(cert: PairingCertificate, max_n: int = MAX_N_DEFAULT) -
     The n * n! listed elements are thus distinct: all of F_n, by the counts.
     """
     _check_guard(cert.n, max_n)
-    fact = math.factorial(cert.n)
+    n, i = cert.n, cert.i
+    fact = math.factorial(n)
     if len(cert.good) != fact:
         raise ValueError(f"expected {fact} good entries, found {len(cert.good)}")
-    if len(cert.good) + 2 * len(cert.bad_pairs) != cert.n * fact:
+    if len(cert.good) + 2 * len(cert.bad_pairs) != n * fact:
         raise ValueError("good + 2 * pairs must cover all n * n! elements")
-    sys = generic_system(cert.n)
 
-    def good_weights() -> Iterator[Scalar]:
-        # each good entry's weight, recomputed, once the entry is checked
-        prev: tuple = ()  # the previous entry; () sorts before every element
-        for e, w in cert.good:
-            _check_size(e, cert.n, "good entry")
-            if not is_good(cert.i, e):
-                raise ValueError(f"{e} listed as good but is bad")
-            if not prev < e:
-                raise ValueError(f"good entry {e} not in canonical order")
-            prev = e
-            recomputed = weight_W(sys, cert.i, e)
-            if render_scalar(recomputed) != w:
-                raise ValueError(f"good weight mismatch at {e}")
-            yield recomputed
-
-    if render_scalar(_sum(good_weights(), sys.zero)) != cert.fact1_sum:
+    texts = []
+    prev: tuple = ()  # the previous entry; () sorts before every element
+    for e, w in cert.good:
+        _check_size(e, n, "good entry")
+        j, values = el = e.j, e.p.values
+        if values[j - 1] != i:
+            raise ValueError(f"{e} listed as good but is bad")
+        if not prev < el:
+            raise ValueError(f"good entry {e} not in canonical order")
+        prev = el
+        if _weight_text(i, j, values) != w:
+            raise ValueError(f"good weight mismatch at {e}")
+        texts.append(w)
+    if sorted(_signed_terms(cert.fact1_sum)) != sorted(texts):
         raise ValueError("fact1_sum does not match the good weights")
-    expected = sys.rhs_entry(cert.i) * big_x(sys, 0, max_n=max_n)
+    sys = generic_system(n)
+    expected = sys.rhs_entry(i) * big_x(sys, 0, max_n=max_n)
     if render_scalar(expected) != cert.b_i_times_x0:
         raise ValueError("b_i_times_X0 does not match the system")
     if cert.fact1_sum != cert.b_i_times_x0:
         raise ValueError("fact1_sum != b_i_times_X0")
 
-    prev: tuple = ()
+    prev = ()
     for lo, hi, w_lo, w_hi in cert.bad_pairs:
-        _check_size(lo, cert.n, "pair element")
-        _check_size(hi, cert.n, "pair element", _second)
-        if is_good(cert.i, lo) or is_good(cert.i, hi):
+        _check_size(lo, n, "pair element")
+        _check_size(hi, n, "pair element", _second)
+        j, values, j2, sigma = lo.j, lo.p.values, hi.j, hi.p.values
+        if values[j - 1] == i or sigma[j2 - 1] == i:
             raise ValueError(f"pair ({lo}, {_second(hi)}) contains a good element")
-        if not prev < lo < hi:
+        e, t = (j, values), (j2, sigma)
+        if not prev < e < t:
             raise ValueError(f"pair ({lo}, {_second(hi)}) not in canonical order")
-        prev = lo
-        if t_involution(cert.i, lo) != hi or t_involution(cert.i, hi) != lo:
+        prev = e
+        if _image(i, *e) != t or _image(i, *t) != e:
             raise ValueError(
                 f"{lo} and {_second(hi)} are not each other's pairing image"
             )
-        w = weight_W(sys, cert.i, lo)
-        w2 = weight_W(sys, cert.i, hi)
-        if render_scalar(w) != w_lo or render_scalar(w2) != w_hi:
+        if _weight_text(i, *e) != w_lo or _weight_text(i, *t) != w_hi:
             raise ValueError(f"pair weight mismatch at ({lo}, {_second(hi)})")
-        if w + w2 != 0:
+        if w_lo != "-" + w_hi and w_hi != "-" + w_lo:
             raise ValueError(f"pair weights are not exact negations at {lo}")
     if cert.fact2_sum != "0":
         raise ValueError(f'fact2_sum must render "0", got {cert.fact2_sum!r}')
+
+
+def _weight_text(i: int, j: int, values: tuple[int, ...]) -> str:
+    # W_i([j, pi]) as the certificate writes it, built from its factors with
+    # no polynomial: the a-factors are (pi_k, k) for k != j and (i, j), in
+    # (row, col) order, then b[pi_j]; a leading "-" for an odd inversion
+    # count, counted pair by pair.  All its symbols are distinct, so the
+    # renderer writes each once, in this order, with coefficient +-1.
+    # A factor (r, c) is sorted as the integer r * m + c, with m > n.
+    m = len(values) + 1
+    a_names, b_names = _names(m)
+    factors = [v * m + k for k, v in enumerate(values, 1)]
+    factors[j - 1] = i * m + j
+    factors.sort()
+    text = "*".join(map(a_names.__getitem__, factors)) + b_names[values[j - 1]]
+    return "-" + text if sum(starmap(gt, combinations(values, 2))) & 1 else text
+
+
+@cache
+def _names(m: int) -> tuple[list[str], list[str]]:
+    # the texts of a[r,c], at r * m + c, and of "*b[r]", at r, for r, c < m
+    rows = range(m)
+    return [f"a[{r},{c}]" for r in rows for c in rows], [f"*b[{r}]" for r in rows]
+
+
+def _image(i: int, j: int, values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # the auditor's own pairing map on a bad (j, values): j2 is the position
+    # of value i, and sigma swaps the values at positions j and j2
+    j2 = values.index(i) + 1
+    sigma = list(values)
+    sigma[j - 1], sigma[j2 - 1] = sigma[j2 - 1], sigma[j - 1]
+    return j2, tuple(sigma)
+
+
+def _signed_terms(text: str) -> list[str]:
+    # the terms of a rendered sum, each with its sign: "x - y + z" gives
+    # ["x", "-y", "z"]
+    return text.replace(" - ", " + -").split(" + ")
 
 
 def _check_size(e: FElement, n: int, what: str, name=str) -> None:

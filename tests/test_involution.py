@@ -30,7 +30,14 @@ from cramerkit import (
     weight_w0,
 )
 from cramerkit import involution
-from cramerkit.algebra import _owned, a_symbol, b_symbol, make_monomial, Polynomial
+from cramerkit.algebra import (
+    _owned,
+    a_symbol,
+    b_symbol,
+    make_monomial,
+    Polynomial,
+    render_scalar,
+)
 from cramerkit.cramer import LinearSystem, rational_system
 from cramerkit.involution import iter_elements
 from cramerkit.oracle import bareiss_det
@@ -687,15 +694,51 @@ def test_validate_weighs_the_pair_partner(monkeypatch):
     # a wrong weight for T(e) must be caught even though the certificate's
     # weight2 is the exact negation of W(e)
     cert = build_certificate(generic_system(3), 1)
-    hi = cert.bad_pairs[0][1]
-    weigh = involution.weight_W
-
-    def faulty(sys, i, e):
-        return weigh(sys, i, e) + (1 if e == hi else 0)
-
-    monkeypatch.setattr(involution, "weight_W", faulty)
-    with pytest.raises(ValueError):
+    assert cert.bad_pairs[0][1] == HI
+    _off_at_hi(monkeypatch)
+    with pytest.raises(ValueError, match="pair weight mismatch"):
         validate_certificate(cert)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_auditor_texts_and_images_match_the_algebra(n):
+    # the auditor builds each weight's text from (i, j, pi) and each image
+    # with its own swap; both must equal what the algebra and the public map
+    # give, on every element of F_n
+    gs = generic_system(n)
+    for i in range(1, n + 1):
+        for e in iter_elements(n):
+            j, values = e.j, e.p.values
+            assert involution._weight_text(i, j, values) == render_scalar(
+                weight_W(gs, i, e)
+            )
+            if not is_good(i, e):
+                t = t_involution(i, e)
+                assert involution._image(i, j, values) == (t.j, t.p.values)
+
+
+def test_validate_multiplies_no_weight_out(monkeypatch):
+    # the audit's only products and renderings are those of b_i * X_0
+    calls = {"mul": 0, "render": 0}
+    mul, render = Polynomial.__mul__, Polynomial.render
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_render(self):
+        calls["render"] += 1
+        return render(self)
+
+    cert = build_certificate(generic_system(4), 2)
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "render", counted_render)
+    gs = generic_system(4)
+    render_scalar(gs.rhs_entry(2) * big_x(gs, 0))
+    kernel = dict(calls)
+    calls.update(mul=0, render=0)
+    validate_certificate(cert)
+    assert calls == kernel
 
 
 def test_validate_rejects_a_permutation_longer_than_the_system():
@@ -803,22 +846,31 @@ def _flaw_x0_off_by_one(d, m):
     m.setattr(involution, "big_x", lambda *args, **kw: big(*args, **kw) + 1)
 
 
+def _off_at_hi(m):
+    # patches the auditor's weight text to read W + 1 at HI
+    text = involution._weight_text
+    hi = (HI.j, HI.p.values)
+
+    def off(i, j, values):
+        return text(i, j, values) + (" + 1" if (j, values) == hi else "")
+
+    m.setattr(involution, "_weight_text", off)
+
+
 def _partner_off_by_one(d, m):
-    # weight2 agrees with a weight_W that is off by one at HI, so it is no
-    # longer the negation of the first weight
+    # weight2 agrees with an auditor text that is off by one at HI, so it is
+    # no longer the negation of the first weight
     d["bad_pairs"][0]["weight2"] = str(weight_W(generic_system(3), 1, HI) + 1)
-    weigh = involution.weight_W
-
-    def off_at_hi(sys, i, e):
-        return weigh(sys, i, e) + (1 if e == HI else 0)
-
-    m.setattr(involution, "weight_W", off_at_hi)
+    _off_at_hi(m)
 
 
 def _map_fixes_hi(d, m):
-    # the map sends lo to HI, but HI to itself rather than back to lo
-    t = involution.t_involution
-    m.setattr(involution, "t_involution", lambda i, e: e if e == HI else t(i, e))
+    # the auditor's map sends lo to HI, but HI to itself rather than back to lo
+    image = involution._image
+    hi = (HI.j, HI.p.values)
+    m.setattr(
+        involution, "_image", lambda i, j, v: hi if (j, v) == hi else image(i, j, v)
+    )
 
 
 AUDIT_FLAWS = [
