@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import reduce
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from math import prod
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Fraction
 
@@ -404,7 +404,13 @@ class Polynomial:
                 raise KeyError(f"assignment has no value for {sym}")
             return Fraction(assignment[sym])
 
-        return _substitute(self, value, Fraction(0))
+        return sum(
+            (
+                prod((value(s) ** exp for s, exp in mono), start=coeff)
+                for mono, coeff in self.terms()
+            ),
+            Fraction(0),
+        )
 
     def render(self) -> str:
         """Bit-stable text form (see the module docstring for the grammar)."""
@@ -438,21 +444,6 @@ def _sum(xs: Iterable["Scalar"], zero: "Scalar") -> "Scalar":
     for x in xs:
         _fold(terms, _coerce(x)._terms)
     return _owned(terms)
-
-
-def _substitute(
-    p: Polynomial, value: Callable[[Symbol], "Scalar"], zero: "Scalar"
-) -> "Scalar":
-    # p with value(s) put in for every symbol s, summed from zero.  That is a
-    # ring homomorphism, so the result is exact; the values may be Fractions
-    # or Polynomials alike.
-    return _sum(
-        (
-            reduce(mul, (x for s, exp in mono for x in [value(s)] * exp), coeff)
-            for mono, coeff in p.terms()
-        ),
-        zero,
-    )
 
 
 def _coerce(value: "Polynomial | int") -> Polynomial:

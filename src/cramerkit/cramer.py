@@ -236,8 +236,9 @@ def _identity_report(
 
 def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) -> Scalar:
     # w_j of the permutation with these values and sign; j = 0 gives w_0.
-    # The one product routine, behind weight_w0/wj and so the certificate
-    # auditor; the F_n walk forms its weights as monomial keys instead.
+    # The one product routine, behind weight_w0/wj; the F_n walk forms its
+    # weights as monomial keys, and the certificate auditor writes their
+    # texts with involution._weight_text, so neither calls it.
     factors = [sys.entries[row - 1][k] for k, row in enumerate(values)]
     if j:
         factors[j - 1] = sys.rhs[values[j - 1] - 1]

@@ -23,29 +23,30 @@ checked elementwise / pairwise, because an aggregate zero alone could mask a
 broken pairing.  Fact 1's aggregate is checked against X_0 from the solver's
 kernel; fact 2's adds the pair sums, so it follows from the pairwise checks.
 One walk over S_n does every check; ``check_fact1``, ``check_fact2`` and
-``build_certificate`` are views of it.  On the generic system each weight
-is +-1 times one monomial, and T keeps the monomial while it flips the
-sign, so the walk holds a weight as a packed monomial key and a sign and
-checks both facts on those; it decodes only the sums it reports and the
-weights it writes.  The certificate, of the generic system only,
-serializes the whole verification -- every good element with its weight
-and every canceling pair, in a deterministic order, with bit-stable
-weight renderings -- and ``validate_certificate`` audits it independently:
-it builds each weight's text from (i, j, pi) and each pairing image with
-its own swap, and takes b_i * X_0 from ``big_x``.  It shares no loop, no
-weight arithmetic, no rendering and no pairing code with the walk, only
-the file format.
+``build_certificate`` are views of it, defined on ``generic_system(n)``
+only: the argument is a polynomial identity in the symbols a[i,j], b[i],
+and any numeric system is an evaluation of it.  Each weight is +-1 times
+one monomial, and T keeps the monomial while it flips the sign, so the
+walk holds a weight as a packed monomial key and a sign and checks both
+facts on those; it decodes only the sums it reports and the weights it
+writes.  The certificate serializes the whole verification -- every good
+element with its weight and every canceling pair, in a deterministic
+order, with bit-stable weight renderings -- and ``validate_certificate``
+audits it independently: it builds each weight's text from (i, j, pi) and
+each pairing image with its own swap, and takes b_i * X_0 from ``big_x``.
+It shares no loop, no weight arithmetic, no rendering and no pairing code
+with the walk, only the file format.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 from itertools import chain, combinations, starmap
 from operator import getitem, gt
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Scalar, Symbol, _owned, _packed, _substitute, render_scalar
+from .algebra import Scalar, _owned, _packed, render_scalar
 from .cramer import LinearSystem, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
@@ -155,6 +156,7 @@ def check_fact1(
 
     Also checks, element by element, that each good weight equals
     b[i] * w_0(pi) -- the substitution that makes the aggregate work.
+    Defined on generic_system(n) only; any other system raises ValueError.
     """
     return _walk(sys, i, max_n)[0]
 
@@ -167,7 +169,8 @@ def check_fact2(
     Per bad element e with image t: t is bad, t != e (no fixed points) and
     the map applied twice returns e.  Per pair {e, t}, once: the inversion
     counts of the two permutations differ by an odd number, and
-    W(e) + W(t) = 0 exactly.
+    W(e) + W(t) = 0 exactly.  Defined on generic_system(n) only; any other
+    system raises ValueError.
     """
     return _walk(sys, i, max_n)[1]
 
@@ -199,14 +202,11 @@ def build_certificate(
 
     Good entries are sorted by (j, permutation values); each bad pair is
     listed once, smaller element first, pairs sorted by their smaller
-    element.  Any other system raises ValueError: the file names no system,
-    and :func:`validate_certificate` recomputes every weight on the generic
-    one, so it could audit no other (numeric weights can also cancel by
-    accident, which makes such a witness meaningless).  Raises RuntimeError
-    when any fact 1 or fact 2 check fails.
+    element.  Any other system raises ValueError, as for the fact checks:
+    the file names no system, and :func:`validate_certificate` recomputes
+    every weight on the generic one.  Raises RuntimeError when any fact 1
+    or fact 2 check fails.
     """
-    if sys != generic_system(sys.n):
-        raise ValueError("certificates are only defined for generic_system(n)")
     cert = _walk(sys, i, max_n, collect=True)[2]
     if cert is None:
         raise RuntimeError(f"row {i} failed a fact 1 or fact 2 check")
@@ -237,27 +237,29 @@ def _walk(
     opposite.  Fact 1's aggregate takes b_i * X_0 from the kernel, not from
     the keys formed here.
 
-    Both sums are key -> coefficient maps, decoded once at the end.  A
-    system other than the generic one is walked on the generic keys and
-    gets the generic sums with its own entries put in (``_substitute``, a
-    ring homomorphism, so exact).  The walk shares no weight arithmetic,
-    rendering or pairing code with ``validate_certificate``.  ``collect``
-    is for the generic system only (``build_certificate`` checks that):
-    each row is formed as its final entry, in a list per position j.  A
-    good weight is rendered from its key; a pair's first weight too, and
-    its second is that text with the sign flipped, which is the partner's
-    own weight whenever the pair cancels, the only case in which a
-    certificate is returned.  The stream is in lexicographic order, so
-    each list is in canonical order and the lists, joined, are too.
-    Certify if all pass.
+    Both sums are key -> coefficient maps, decoded once at the end.  Any
+    system other than ``generic_system(n)`` raises ValueError, after the
+    size guard and before any work.  The walk shares no weight arithmetic,
+    rendering or pairing code with ``validate_certificate``.  With
+    ``collect``, each row is formed as its final entry, in a list per
+    position j.  A good weight is rendered from its key; a pair's first
+    weight too, and its second is that text with the sign flipped, which
+    is the partner's own weight whenever the pair cancels, the only case
+    in which a certificate is returned.  The stream is in lexicographic
+    order, so each list is in canonical order and the lists, joined, are
+    too.  Certify if all pass.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
-    b_i_times_x0 = sys.rhs_entry(i) * big_x(sys, 0, max_n=max_n)
+    _check_guard(sys.n, max_n)
     gs = generic_system(sys.n)
+    if sys != gs:
+        raise ValueError(
+            "fact checks and certificates are only defined for generic_system(n)"
+        )
+    b_i_times_x0 = gs.rhs_entry(i) * big_x(gs, 0, max_n=max_n)
     keys = _key_table(gs, i)
     kb_i = _packed(gs.rhs_entry(i))
-    decode = _owned if sys == gs else partial(_put_in, sys)
     good: dict = {}  # key -> coefficient
     bad: dict = {}  # the pairs that do not cancel, key -> coefficient
     elementwise = involution_ok = parity_ok = cancellation_ok = True
@@ -296,7 +298,7 @@ def _walk(
                 text_t = text[1:] if sgn < 0 else "-" + text
                 pair_rows[j - 1].append((_felement(e), _felement(t), text, text_t))
 
-    good_sum, bad_sum = decode(_nonzero(good)), decode(_nonzero(bad))
+    good_sum, bad_sum = _owned(_nonzero(good)), _owned(_nonzero(bad))
     aggregate1 = good_sum == b_i_times_x0
     aggregate2 = bad_sum == 0
     fact1 = Fact1Report(
@@ -357,14 +359,6 @@ def _nonzero(terms: dict) -> dict:
     for m in [m for m, c in terms.items() if not c]:
         del terms[m]
     return terms
-
-
-def _put_in(sys: LinearSystem, terms: dict) -> Scalar:
-    # a generic key -> coefficient map with sys's own entries put in
-    def entry(s: Symbol) -> Scalar:
-        return sys.entry(s.row, s.col) if s.kind == "a" else sys.rhs_entry(s.row)
-
-    return _substitute(_owned(terms), entry, sys.zero)
 
 
 def _render(key: int, sgn: int) -> str:

@@ -6,7 +6,6 @@ import json
 import math
 import random
 import types
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,10 +39,9 @@ from cramerkit.algebra import (
 )
 from cramerkit.cramer import LinearSystem, rational_system
 from cramerkit.involution import iter_elements
-from cramerkit.oracle import bareiss_det
 from cramerkit.perm import Permutation, iter_signed_values
 
-from _support import random_fraction_system, random_int_system
+from _support import random_int_system
 
 
 def mono(*symbols):
@@ -246,70 +244,6 @@ def test_facts_hold_generic_up_to_4():
             assert f1.b_i_times_x0 == gs.rhs_entry(i) * x0
             assert f1.good_sum == f1.b_i_times_x0
             assert check_fact2(gs, i).ok
-
-
-def test_facts_hold_numeric():
-    # the identities are polynomial, so they also hold on instantiated
-    # systems; there X_0 = det(A), as Bareiss elimination computes it
-    rng = random.Random(17)
-    sys = random_int_system(rng, 3)
-    det = bareiss_det(sys)
-    for i in range(1, 4):
-        f1 = check_fact1(sys, i)
-        assert f1.ok
-        assert f1.b_i_times_x0 == sys.rhs_entry(i) * det
-        assert f1.good_sum == f1.b_i_times_x0
-        assert check_fact2(sys, i).ok
-
-
-@pytest.mark.parametrize("kind", ["int", "frac"])
-def test_facts_hold_seeded_numeric_up_to_4(kind):
-    # a numeric system is walked on the generic keys and gets the generic
-    # sums with its own entries put in: the good sum is b_i * det(A) and the
-    # bad sum a Fraction zero, as when its weights were formed one by one
-    rng = random.Random(23)
-    make = random_int_system if kind == "int" else random_fraction_system
-    for n in range(1, 5):
-        for _ in range(3):
-            sys = make(rng, n)
-            det = bareiss_det(sys)
-            for i in range(1, n + 1):
-                f1, f2, cert = involution._walk(sys, i)
-                assert f1.ok and f2.ok and cert is None
-                assert f1.good_sum == sys.rhs_entry(i) * det == f1.b_i_times_x0
-                assert type(f1.good_sum) is Fraction
-                assert type(f2.bad_sum) is Fraction and f2.bad_sum == 0
-                assert f1.good_count == math.factorial(n)
-                assert f2.bad_count == (n - 1) * math.factorial(n)
-
-
-def two_term_system(n):
-    # entries a[i,j] + 2*a[j,i] - 1 and right sides b[i] - a[i,i]
-    gs = generic_system(n)
-    entries = tuple(
-        tuple(gs.entry(r, c) + 2 * gs.entry(c, r) - 1 for c in range(1, n + 1))
-        for r in range(1, n + 1)
-    )
-    rhs = tuple(gs.rhs_entry(r) - gs.entry(r, r) for r in range(1, n + 1))
-    return LinearSystem(entries, rhs)
-
-
-def test_facts_hold_on_two_term_symbolic_entries():
-    # the reports carry this system's sums, weighed here one element at a
-    # time; a certificate, which names no system, is refused
-    n = 3
-    sys = two_term_system(n)
-    for i in range(1, n + 1):
-        f1, f2, _ = involution._walk(sys, i)
-        assert f1.ok and f2.ok
-        good = Polynomial.zero()
-        for e in iter_elements(n):
-            if is_good(i, e):
-                good = good + weight_W(sys, i, e)
-        assert f1.good_sum == good == sys.rhs_entry(i) * big_x(sys, 0)
-        assert isinstance(f2.bad_sum, Polynomial) and f2.bad_sum.is_zero
-        with pytest.raises(ValueError):
-            build_certificate(sys, i)
 
 
 def test_every_weight_key_is_one_square_free_monomial():
@@ -655,15 +589,69 @@ def test_validate_checks_the_guard_before_building(monkeypatch):
         validate_certificate(cert)
 
 
+def two_term_system(n):
+    # entries a[i,j] + 2*a[j,i] - 1 and right sides b[i] - a[i,i]
+    gs = generic_system(n)
+    entries = tuple(
+        tuple(gs.entry(r, c) + 2 * gs.entry(c, r) - 1 for c in range(1, n + 1))
+        for r in range(1, n + 1)
+    )
+    rhs = tuple(gs.rhs_entry(r) - gs.entry(r, r) for r in range(1, n + 1))
+    return LinearSystem(entries, rhs)
+
+
+NON_GENERIC = {
+    "numeric": random_int_system(random.Random(5), 2),
+    "two-term": two_term_system(2),
+}
+
+
+# build_certificate's cases are named by the system alone
 @pytest.mark.parametrize(
-    "sys",
-    [random_int_system(random.Random(5), 2), two_term_system(2)],
-    ids=["numeric", "two-term"],
+    "check, sys",
+    [
+        pytest.param(check, sys, id=prefix + name)
+        for check, prefix in [
+            (build_certificate, ""),
+            (check_fact1, "check_fact1-"),
+            (check_fact2, "check_fact2-"),
+        ]
+        for name, sys in NON_GENERIC.items()
+    ],
 )
-def test_certificate_rejects_numeric_systems(sys):
-    # only generic_system(n) has a certificate: the file names no system
+def test_certificate_rejects_numeric_systems(check, sys):
+    # the facts are identities in the symbols a[i,j], b[i], checked on
+    # generic_system(n) alone: a numeric system only evaluates them, and a
+    # certificate names no system
     with pytest.raises(ValueError, match=r"only defined for generic_system\(n\)"):
-        build_certificate(sys, 1)
+        check(sys, 1)
+
+
+def test_walk_checks_the_guard_before_building(monkeypatch):
+    sys = generic_system(10)  # one over the default guard
+
+    def refuse(n):
+        raise AssertionError(f"generic_system({n}) built before the size guard")
+
+    monkeypatch.setattr(involution, "generic_system", refuse)
+    for check in (check_fact1, check_fact2, build_certificate):
+        with pytest.raises(SizeLimitError):
+            check(sys, 1)
+
+
+def test_certificate_builds_the_generic_system_once(monkeypatch):
+    # the walk builds generic_system(n) once, for its keys and to compare
+    # the given system with; build_certificate adds no second build
+    calls = []
+    build = involution.generic_system
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(involution, "generic_system", counted)
+    build_certificate(generic_system(3), 1)
+    assert calls == [3]
 
 
 def test_validate_catches_tampering():
