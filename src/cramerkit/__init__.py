@@ -6,6 +6,8 @@ Everything is exact: arbitrary-precision rationals and integer-coefficient
 polynomials, no floating point anywhere.
 """
 
+from importlib import import_module
+
 from .algebra import (
     Polynomial,
     Rational,
@@ -29,20 +31,6 @@ from .cramer import (
     weight_w0,
     weight_wj,
 )
-from .involution import (
-    FElement,
-    PairingCertificate,
-    build_certificate,
-    certificate_from_dict,
-    certificate_to_dict,
-    check_fact1,
-    check_fact2,
-    is_good,
-    t_involution,
-    validate_certificate,
-    weight_W,
-)
-from .oracle import bareiss_det, bareiss_solve, cofactor_det
 from .perm import (
     MAX_N_DEFAULT,
     Permutation,
@@ -54,6 +42,39 @@ from .perm import (
     sign,
     transpose_positions,
 )
+
+# The checker (involution) and the reference algorithms (oracle) load on
+# first use (PEP 562): a CLI child that runs neither compiles neither.
+_LAZY = {
+    "involution": (
+        "FElement",
+        "PairingCertificate",
+        "build_certificate",
+        "certificate_from_dict",
+        "certificate_to_dict",
+        "check_fact1",
+        "check_fact2",
+        "is_good",
+        "t_involution",
+        "validate_certificate",
+        "weight_W",
+    ),
+    "oracle": ("bareiss_det", "bareiss_solve", "cofactor_det"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:  # the submodule itself, after a bare `import cramerkit`
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_OWNER})
+
 
 __all__ = [
     "Polynomial",

@@ -14,6 +14,10 @@ bit-for-bit -- JSON floats are rejected outright.  A document with
 symbols a[i,j] / b[i].  ``validate-certificate`` reads a certificate
 written by ``check-involution --emit-certificate`` and audits it.
 
+Each subcommand imports what it runs: ``involution`` (the checker) loads
+only for check-involution and validate-certificate, ``oracle`` only for
+det, so the other subcommands start without compiling either.
+
 Exit codes: 0 success / all checks pass, 1 a check failed or output could
 not be written, 2 input or usage error (an n below 1 among them), 3
 singular system, 4 size guard violation (n > max-n; override with --max-n).
@@ -43,13 +47,6 @@ from .cramer import (
     rational_system,
     solve,
 )
-from .involution import (
-    _walk,
-    certificate_from_dict,
-    certificate_to_dict,
-    validate_certificate,
-)
-from .oracle import COFACTOR_MAX_N, bareiss_det, cofactor_det
 from .perm import MAX_N_DEFAULT, SizeLimitError, _check_guard
 
 EXIT_OK = 0
@@ -200,6 +197,8 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_check_involution(args) -> int:
+    from .involution import _walk, certificate_to_dict
+
     _check_n(args.n, args.max_n)
     if not 1 <= args.i <= args.n:
         raise InputError(f"--i {args.i} outside 1..{args.n}")
@@ -244,6 +243,8 @@ def _cmd_check_involution(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from .oracle import COFACTOR_MAX_N, bareiss_det, cofactor_det
+
     doc = parse_input_document(_load_json(args.input))
     if args.method == "bareiss" and doc.mode != RATIONAL:
         raise InputError("bareiss applies to rational documents only")
@@ -274,6 +275,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_validate_certificate(args) -> int:
+    from .involution import certificate_from_dict, validate_certificate
+
     try:  # the parsed JSON is freed before the audit starts
         cert = certificate_from_dict(_load_json(args.input))
     except ValueError as exc:  # InputError from the loader keeps its message

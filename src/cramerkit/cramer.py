@@ -105,11 +105,21 @@ def rational_system(
     rows: Sequence[Sequence[Union[int, str, Fraction]]],
     rhs: Sequence[Union[int, str, Fraction]],
 ) -> LinearSystem:
-    """Build a numeric system, coercing ints / "p/q" strings to Fractions."""
+    """Build a numeric system, coercing ints / "p/q" strings to Fractions.
+
+    Any other entry, a float or a bool among them, raises ``TypeError``:
+    ``Fraction(0.1)`` would keep the float's binary value, not 1/10.
+    """
     return LinearSystem(
-        tuple(tuple(Fraction(x) for x in row) for row in rows),
-        tuple(Fraction(x) for x in rhs),
+        tuple(tuple(_exact(x) for x in row) for row in rows),
+        tuple(_exact(x) for x in rhs),
     )
+
+
+def _exact(x: Union[int, str, Fraction]) -> Fraction:
+    if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
+        raise TypeError(f"entries must be int, str or Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def generic_system(n: int) -> LinearSystem:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cramerkit import cli, cramer, involution
+from cramerkit import cli, cramer, involution, oracle
 from cramerkit import (
     build_certificate,
     certificate_from_dict,
@@ -456,8 +456,9 @@ def test_det_symbolic_methods_agree(tmp_path, capsys):
 
 
 def test_det_methods_disagree_exits_1(tmp_path, capsys, monkeypatch):
-    bareiss = cli.bareiss_det
-    monkeypatch.setattr(cli, "bareiss_det", lambda system: bareiss(system) + 1)
+    # the det handler imports bareiss_det when it runs, so it sees the patch
+    bareiss = oracle.bareiss_det
+    monkeypatch.setattr(oracle, "bareiss_det", lambda system: bareiss(system) + 1)
     path = write_doc(tmp_path, "d.json", rational_doc([[2, 0], [0, 3]], [0, 0]))
     code, out, err = run(capsys, "det", "--input", path)
     assert code == EXIT_FAIL
@@ -676,7 +677,6 @@ def test_emitted_certificates_validate_from_the_cli(tmp_path, capsys, monkeypatc
             with monkeypatch.context() as m:
                 m.setattr(involution, "_walk", disabled)
                 m.setattr(involution, "iter_signed_values", disabled)
-                m.setattr(cli, "_walk", disabled)
                 code, out, _ = run(capsys, "validate-certificate", "--input", path)
             assert code == EXIT_OK
             good, pairs = math.factorial(n), (n - 1) * math.factorial(n) // 2
@@ -854,6 +854,91 @@ def test_importing_the_cli_loads_no_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+_LOADED = "sorted({'cramerkit.involution', 'cramerkit.oracle'} & set(sys.modules))"
+# cli.main in a fresh interpreter: its exit code, then which of the two
+# lazily loaded modules it pulled in
+_RUN_MAIN = f"""
+import contextlib, io, sys
+from cramerkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, {_LOADED})
+"""
+
+
+@pytest.mark.parametrize(
+    "case, loaded",
+    [
+        ("import cramerkit", "[]"),
+        ("import cramerkit.cli", "[]"),
+        ("solve", "0 []"),
+        ("verify-identity", "0 []"),
+        ("exit 2", "2 []"),
+        ("det", "0 ['cramerkit.oracle']"),
+        ("check-involution", "0 ['cramerkit.involution']"),
+        ("validate-certificate", "0 ['cramerkit.involution']"),
+    ],
+)
+def test_each_entry_point_loads_only_what_it_runs(tmp_path, case, loaded):
+    # the checker and the reference algorithms are compiled only by the
+    # subcommands that run them, so every other CLI child starts without them
+    doc = write_doc(tmp_path, "d.json", rational_doc([[1, 1], [1, -1]], [3, 1]))
+    bad_doc = write_doc(tmp_path, "f.json", rational_doc([[1.5]], ["1"]))
+    cert = build_certificate(generic_system(3), 2)
+    cert_path = write_doc(tmp_path, "c.json", certificate_to_dict(cert))
+    argv = {
+        "solve": ["solve", "--input", doc],
+        "verify-identity": ["verify-identity", "--n", "3"],
+        "exit 2": ["solve", "--input", bad_doc],
+        "det": ["det", "--input", doc],
+        "check-involution": ["check-involution", "--n", "3", "--i", "2"],
+        "validate-certificate": ["validate-certificate", "--input", cert_path],
+    }
+    if case.startswith("import "):
+        command = ["-c", f"{case}, sys; print({_LOADED})"]
+    else:
+        command = ["-c", _RUN_MAIN, *argv[case]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, *command], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (0, loaded + "\n"), proc.stderr
+
+
+def test_package_namespace_is_whole_with_lazy_names():
+    # every public name is its defining module's object, listed by dir(),
+    # and an unknown name is an AttributeError like any module's
+    import cramerkit
+    from cramerkit import algebra, perm
+
+    modules = (algebra, cramer, involution, oracle, perm)
+    for name in cramerkit.__all__:
+        value = getattr(cramerkit, name)
+        owners = [m for m in modules if name in vars(m)]
+        assert owners and all(vars(m)[name] is value for m in owners), name
+    assert set(cramerkit.__all__) <= set(dir(cramerkit))
+    assert {"involution", "oracle"} <= set(dir(cramerkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cramerkit.no_such_name
+    # in a fresh interpreter, where neither lazy module has loaded yet
+    code = (
+        "import sys, cramerkit\n"
+        "print(cramerkit.involution is sys.modules['cramerkit.involution'], end=' ')\n"
+        "from cramerkit import oracle\n"
+        "print(oracle is sys.modules['cramerkit.oracle'], end=' ')\n"
+        "ns = {}\n"
+        "exec('from cramerkit import *', ns)\n"
+        "print(sorted(set(cramerkit.__all__) - set(ns)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True True []\n"), proc.stderr
 
 
 def test_module_entry_point(tmp_path):

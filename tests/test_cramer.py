@@ -390,3 +390,20 @@ def test_rational_system_coerces_strings():
     assert sys.entry(1, 1) == Fraction(1, 2)
     assert sys.rhs_entry(1) == Fraction(-1, 2)
     assert sys.mode == "rational"
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, bad",
+    [
+        ([[0.1, 1], [1, 2]], [1, 1], "0.1"),
+        ([[1, True], [1, 2]], [1, 1], "True"),
+        ([[1, 0], [0, 1]], [0.3, 1], "0.3"),
+        ([[1, 0], [0, 1]], [1, False], "False"),
+        ([[1, 0], [0, 1]], [1, None], "None"),
+    ],
+)
+def test_rational_system_rejects_inexact_entries(rows, rhs, bad):
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True)
+    # is 1; neither is an exact rational the caller wrote
+    with pytest.raises(TypeError, match=f"got {bad}$"):
+        rational_system(rows, rhs)
