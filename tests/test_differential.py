@@ -1,12 +1,15 @@
-"""A committed differential: the outputs of the F_n walk, pinned by digest.
+"""A committed differential: the outputs of the F_n walk and of the X_j
+kernel, pinned by digest.
 
 Every certificate with n <= 6, written as ``check-involution
---emit-certificate`` writes it, and every field of the fact reports of
-``generic_system(n)``, n <= 6, rendered one per line, are hashed with
-SHA-256 and compared with the committed digests below.  A change to the
-walk, the writer or the auditor must leave them all as they are; one that
-alters an output on purpose must edit a digest here, where the diff shows
-it.  The n = 4 and n = 5
+--emit-certificate`` writes it, every field of the fact reports of
+``generic_system(n)``, n <= 6, rendered one per line, and every sum of
+``all_big_x`` for ``generic_system(n)`` and for seeded integer and p/q
+systems, n <= 6, rendered one per line, are hashed with SHA-256 and
+compared with the committed digests below.  A change to the walk, the
+writer, the auditor or the kernel must leave them all as they are; one
+that alters an output on purpose must edit a digest here, where the diff
+shows it.  The n = 4 and n = 5
 digests must also equal the older pins: ``CERT_N4_SHA256`` in
 test_involution.py and ``CERT_SHA256`` in perfbench/workloads.py, read from
 their source.  The n = 7 certificates take too long for this suite; CI
@@ -16,11 +19,13 @@ checks them against tests/cert_n7.sha256.
 import ast
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from cramerkit import (
+    all_big_x,
     build_certificate,
     certificate_to_dict,
     check_fact1,
@@ -28,6 +33,8 @@ from cramerkit import (
     generic_system,
 )
 from cramerkit.algebra import render_scalar
+
+from _support import random_fraction_system, random_int_system
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +90,35 @@ REPORT_SHA256 = {
     (6, 6): "ee368684f34b2f97eb70693b555eeef3b65d8055d07c9b9bc00966beee562219",
 }
 
+# SHA-256 of [X_0, ..., X_n] from all_big_x, one render_scalar line per sum;
+# the int and p/q systems of size n are drawn from random.Random(1900 + n)
+KERNEL_SHA256 = {
+    ("generic", 1): "c9123ae43920b2dd5fcf31738ea0e790bb8312b84e5e417d4499d48cc6cc08b8",
+    ("generic", 2): "dd4e9a492ceb47e0e30c70d8df6ae7e006eb8215d4c7a7aba920f23454b8ffb4",
+    ("generic", 3): "b23666fff72b0be729730a37abb1a4ba06b42aac99bf90102f97c47fcfa53a39",
+    ("generic", 4): "9de3f2faf38c915efd14a2939eab071b8ac6e1677736e5cf5affee2795ea45a6",
+    ("generic", 5): "1d38bbfba3f873de852b884bb1bd01fea7b000066337629d4a3791707fd912fc",
+    ("generic", 6): "4846ceda5b1d2803a738521d112783b9792ec89687a301142a348c52f14b8145",
+    ("int", 1): "bf515708924695d498f61fb24331181ba4278e2ae0a2ffda192df32ebca07e41",
+    ("int", 2): "a41ddf66537439ffe5eaeef520aa412c8c15cee2ed7ba34420e3da017606948f",
+    ("int", 3): "8dc708299d4f1a7c28877ce46e60ea8a5a74304cb05377fc81d9b9a23a1e7b47",
+    ("int", 4): "e1c1777229619ac44c11edae18d9b1f45ff510683d58793a19e13ec9d3e18820",
+    ("int", 5): "8bbe3747e129efa5e8c1c0cdb03147eacf70994723843e3dafdd9f09fc0c1279",
+    ("int", 6): "c859ec118f3d619d1971f543dab5a2ec716ca0394b61b0e867c0e79d13cb7eb6",
+    ("frac", 1): "1804024fc1a2c465586df37793a4ef6edc8df42ac931668598feddb0c4053754",
+    ("frac", 2): "e6b00772ab5993ceee434068d5e148649d4ac877257717eef72255f9e420702c",
+    ("frac", 3): "7535e7765a877782a61f0081952d5290047c57090d6772db22c7603fb8a915ef",
+    ("frac", 4): "3386331e652592ad42892ced26d41a8f030d1890a82ece8d11590eaea0250e8c",
+    ("frac", 5): "d886f3e74d71c4f1625b5959458181900533517419582eddf71a76fbb061adae",
+    ("frac", 6): "02044bd233a5bc701e0fb3b7c2197defdad0fcbaa3f845fb7c148ce9df0a334a",
+}
+
+_KERNEL_SYSTEMS = {
+    "generic": lambda n: generic_system(n),
+    "int": lambda n: random_int_system(random.Random(1900 + n), n),
+    "frac": lambda n: random_fraction_system(random.Random(1900 + n), n),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -112,6 +148,12 @@ def test_report_fields(n, i):
         for field, value in report._asdict().items()
     )
     assert _sha256(text) == REPORT_SHA256[n, i]
+
+
+@pytest.mark.parametrize("kind, n", sorted(KERNEL_SHA256))
+def test_kernel_sums(kind, n):
+    xs = all_big_x(_KERNEL_SYSTEMS[kind](n))
+    assert _sha256("".join(render_scalar(x) + "\n" for x in xs)) == KERNEL_SHA256[kind, n]
 
 
 def test_digests_agree_with_the_older_pins():
