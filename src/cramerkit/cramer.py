@@ -10,12 +10,17 @@ permutation pi of {1..n} gets n+1 weights:
 
 Summing a weight over all of S_n gives X_j; the solution of the system is
 the quotient sequence x_j = X_j / X_0.  :func:`_leibniz` adds the same
-signed products grouped by the set of rows that fill the first k columns
-(Laplace expansion with memoization), O(n 2^n) multiplications per sum
-instead of O(n n!); exact arithmetic makes the sum independent of that
-grouping.  All n+1 sums come from one sweep that shares their column
-prefixes: X_j continues the partial sums over columns 1..j-1, which X_0
-and every later X_j pass through as well.  A rational system is summed over
+signed products grouped by the set of rows that fill a run of columns
+(Laplace expansion with memoization); exact arithmetic makes the sum
+independent of that grouping.  All n+1 sums come from two sweeps of one
+column step: a forward sweep over columns 1, 2, ... ends at X_0, and its
+prefix over columns 1..j-1 extended by b is the head of X_j; a backward
+sweep over columns n, n-1, ... gives the tail over columns j+1..n.  X_j,
+the determinant of A with column j replaced by b, is the signed join of
+head and tail over complementary row sets: O(n 2^n) multiplications for
+all n+1 sums, where summing each separately takes O(n n!).  The tails
+not yet joined are held, at most 2^n - 1 partial sums; X_0 alone builds
+none.  A rational system is summed over
 Python ints: each row of [A | b] is scaled by the lcm of its denominators,
 which scales every X_j by the same product D, and each sum is divided by D
 once at the end.  The F_n checker in involution.py still streams S_n one
@@ -258,23 +263,40 @@ def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) ->
 
 def _leibniz(sys: LinearSystem, js: Sequence[int]) -> list[Scalar]:
     # [X_j for j in js]: the sums over S_n of sign(pi) * prod_k cols[k][pi_k],
-    # where X_0 takes the columns of A and X_j puts b in column j.  The
-    # columns are filled in order (_extend), so X_j continues the prefix over
-    # columns 1..j-1 of A, which X_0 and every later X_j pass through; each
-    # prefix is computed once, and X_j is finished before the next is formed.
+    # where X_0 takes the columns of A and X_j puts b in column j.  prefix
+    # fills columns 1..k in order; tails[m] fills the last m columns from
+    # column n down, so its sign counts the C(m, 2) - inv pairs of them that
+    # are not inversions.  X_j joins its head (the prefix over columns
+    # 1..j-1, then b) on rows M with tails[n - j] on the other rows; the
+    # split between columns j and j+1 adds sum(M) - C(j, 2) inversions (rows
+    # 0-based), so the join's sign is that of C(j, 2) + C(n - j, 2) + sum(M).
     rows, unscale = _ring_rows(sys)
     *cols, rhs = zip(*rows)
-    full = (1 << sys.n) - 1
+    n = sys.n
+    full = (1 << n) - 1
+    odd_rows = int("10" * n, 2) & full  # the bits of rows 1, 3, 5, ...
+    tails = {}
+    tail = {0: 1}  # columns n-m+1..n of A, filled from column n, by used-row mask
+    for m in range(n + 1 - min((j for j in js if j), default=n)):
+        if m:
+            tail = _extend(tail, cols[n - m])
+        if n - m in js:
+            tails[m] = tail
     sums = {}
     prefix = {0: 1}  # columns 1..k of A, by used-row mask
-    for k in range(sys.n + 1 if 0 in js else max(js)):
+    for k in range(n + 1 if 0 in js else max(js)):
         if k:
             prefix = _extend(prefix, cols[k - 1])
         if k + 1 in js:
-            partial = prefix
-            for col in (rhs, *cols[k + 1 :]):
-                partial = _extend(partial, col)
-            sums[k + 1] = partial[full]
+            m = n - k - 1
+            tail = tails.pop(m)
+            flip = (k * (k + 1) // 2 + m * (m - 1) // 2) & 1
+            terms = (
+                (-head if ((used & odd_rows).bit_count() ^ flip) & 1 else head)
+                * tail[full ^ used]
+                for used, head in _extend(prefix, rhs).items()
+            )
+            sums[k + 1] = sum(terms) if sys.mode == RATIONAL else _sum(terms, sys.zero)
     if 0 in js:
         sums[0] = prefix[full]  # the prefix now holds every column of A
     return [unscale(sums[j]) for j in js]

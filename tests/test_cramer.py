@@ -216,10 +216,26 @@ def test_all_big_x_is_the_signed_sum_over_s_n(sys):
         assert xs[0] == bareiss_det(sys)
 
 
+@pytest.mark.parametrize("n", range(7, 11))
+def test_big_x_is_bareiss_with_b_in_column_j_beyond_s_6(n):
+    # the sizes the S_n property test above cannot reach: X_j is det(A) with
+    # column j replaced by b, and Bareiss elimination computes it directly
+    rng = random.Random(700 + n)
+    for sys in (random_int_system(rng, n), random_fraction_system(rng, n)):
+        xs = all_big_x(sys, max_n=n)
+        for j in range(n + 1):
+            cols = [list(col) for col in zip(*sys.entries)]
+            if j:
+                cols[j - 1] = list(sys.rhs)
+            expected = bareiss_det(rational_system(list(zip(*cols)), sys.rhs))
+            assert big_x(sys, j, max_n=n) == xs[j] == expected
+
+
 def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
     # the rational kernel multiplies ints only (rows scaled by the lcm of
-    # their denominators), and all n + 1 sums share their column prefixes:
-    # n steps for X_0 plus n - j + 1 for each X_j, 14 at n = 4, not (n+1)*n
+    # their denominators), and all n + 1 sums share their column sweeps:
+    # n forward steps for X_0, one head step per X_j and n - 1 backward
+    # steps for the tails, 11 at n = 4, not (n+1)*n; X_0 alone takes n
     extend = cramer._extend
     steps = []
 
@@ -233,9 +249,13 @@ def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
     assert solve(sys).quotients == (Fraction(137, 180), Fraction(-77, 240))
     assert steps and all(kinds == {int} for kinds in steps)
     steps.clear()
-    all_big_x(random_fraction_system(random.Random(17), 4))
-    assert len(steps) == 4 + 4 * 5 // 2
+    sys = random_fraction_system(random.Random(17), 4)
+    all_big_x(sys)
+    assert len(steps) == 4 + 4 + 3
     assert all(kinds == {int} for kinds in steps)
+    steps.clear()
+    big_x(sys, 0)
+    assert len(steps) == 4
 
 
 # -- solving -------------------------------------------------------------------

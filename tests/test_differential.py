@@ -114,7 +114,7 @@ KERNEL_SHA256 = {
 }
 
 _KERNEL_SYSTEMS = {
-    "generic": lambda n: generic_system(n),
+    "generic": generic_system,
     "int": lambda n: random_int_system(random.Random(1900 + n), n),
     "frac": lambda n: random_fraction_system(random.Random(1900 + n), n),
 }
