@@ -367,8 +367,10 @@ def _render(key: int, sgn: int) -> str:
 
 
 def _felement(e: tuple[int, tuple[int, ...]]) -> FElement:
-    # a walk row (j, values) -> the public element
-    return FElement(e[0], Permutation(e[1]))
+    # a walk row (j, values) -> the public element, unchecked: the values
+    # come from the S_n stream or _partner, a permutation of 1..n with j in
+    # 1..n by construction, so tuple.__new__ skips both records' checks
+    return tuple.__new__(FElement, (e[0], tuple.__new__(Permutation, (e[1],))))
 
 
 def certificate_to_dict(cert: PairingCertificate) -> dict:
@@ -578,6 +580,11 @@ def _second(e: FElement) -> str:
 
 def _fields(obj, keys: tuple, what: str) -> list:
     # the values of keys in the JSON object obj, which may hold no other key
+    if type(obj) is dict and len(obj) == len(keys):
+        try:
+            return [obj[k] for k in keys]  # every key is there, so no other is
+        except KeyError:
+            pass  # a foreign key in place of one of ours: named below
     if not isinstance(obj, dict):
         raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
     unknown = obj.keys() - set(keys)
@@ -587,7 +594,13 @@ def _fields(obj, keys: tuple, what: str) -> list:
 
 
 def _element(j, values, j_key: str, p_key: str) -> FElement:
-    # an entry's position and permutation; a fault names the entry's own keys
+    # an entry's position and permutation; a fault names the entry's own keys.
+    # An entry of exact ints that sort to 1..n, with j in 1..n, passes every
+    # check below, so it is built in one pass; any other takes the checks.
+    if type(j) is int and type(values) is list and 1 <= j <= len(values):
+        p = tuple(values)
+        if {*map(type, p)} == {int} and sorted(p) == [*range(1, len(p) + 1)]:
+            return tuple.__new__(FElement, (j, tuple.__new__(Permutation, (p,))))
     j, values = _expect_int(j, j_key), _expect_list(values, p_key)
     p = Permutation(tuple(values))  # which checks each value's type
     if not 1 <= j <= p.n:

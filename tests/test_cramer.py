@@ -231,6 +231,36 @@ def test_big_x_is_bareiss_with_b_in_column_j_beyond_s_6(n):
             assert big_x(sys, j, max_n=n) == xs[j] == expected
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_big_x_is_bareiss_where_signed_indices_reach_2n_minus_1(n):
+    # the free-row table stores a negated entry's index r + n in one byte;
+    # at n = 12 the indices reach 23
+    rng = random.Random(1100 + n)
+    sys = random_int_system(rng, n)
+    xs = all_big_x(sys, max_n=n)
+    for j in range(n + 1):
+        cols = [list(col) for col in zip(*sys.entries)]
+        if j:
+            cols[j - 1] = list(sys.rhs)
+        assert xs[j] == bareiss_det(rational_system(list(zip(*cols)), sys.rhs))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_free_rows_table_is_its_definition(n):
+    # free[used]: the rows not in used, from row n - 1 down, each as r, or as
+    # r + n (the negated entry) when an odd number of used rows have a larger
+    # index than r
+    free = cramer._free_rows(n)
+    assert len(free) == 1 << n
+    for used in range(1 << n):
+        expected = [
+            r + n * ((used >> (r + 1)).bit_count() & 1)
+            for r in reversed(range(n))
+            if not used >> r & 1
+        ]
+        assert type(free[used]) is bytes and list(free[used]) == expected
+
+
 def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
     # the rational kernel multiplies ints only (rows scaled by the lcm of
     # their denominators), and all n + 1 sums share their column sweeps:

@@ -579,6 +579,76 @@ def test_certificate_roundtrip_through_json():
         validate_certificate(cert)
 
 
+def _elements(cert):
+    for e, _ in cert.good:
+        yield e
+    for lo, hi, _, _ in cert.bad_pairs:
+        yield lo
+        yield hi
+
+
+def _exact_element(e):
+    # e has exactly the public types, and equals the checked construction
+    assert type(e) is FElement and type(e.j) is int
+    assert type(e.p) is Permutation and type(e.p.values) is tuple
+    assert all(type(v) is int for v in e.p.values)
+    assert e == FElement(e.j, Permutation(e.p.values))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_unchecked_elements_are_the_checked_ones(n):
+    # the walk and the parser build well-formed elements with tuple.__new__,
+    # skipping FElement's and Permutation's checks; each must be exact
+    for i in range(1, n + 1):
+        cert = build_certificate(generic_system(n), i)
+        parsed = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert parsed == cert
+        for e in (*_elements(cert), *_elements(parsed)):
+            _exact_element(e)
+
+
+@pytest.mark.parametrize(
+    "j, pi",
+    [
+        (1, [2, 1]), (2, [1, 2]), (3, [3, 1, 2]), (0, [1, 2]), (3, [1, 2]),
+        (True, [2, 1]), (1.0, [2, 1]), (1, [True, 2]), (1, [2, False]),
+        (1, [1.0, 2]), (1, [1, 1]), (1, [0, 1]), (1, [1, 3]), (1, []),
+        (1, (2, 1)), (1, ["1", "2"]), (1, [2, None]), (1, [[1], 2]),
+    ],
+)
+def test_parser_accepts_exactly_the_checked_entries(j, pi):
+    # the one-pass accept for a well-formed entry takes no entry that the
+    # checked construction refuses, and builds what that construction builds
+    data = certificate_to_dict(build_certificate(generic_system(2), 1))
+    data["good"][0].update(j=j, pi=pi)
+    try:
+        expected = FElement(j, Permutation(tuple(pi))) if isinstance(pi, list) else None
+    except ValueError:
+        expected = None
+    if expected is None:
+        with pytest.raises(ValueError, match="^malformed certificate: "):
+            certificate_from_dict(data)
+    else:
+        (e, _), *_ = certificate_from_dict(data).good
+        assert e == expected
+        _exact_element(e)
+
+
+@pytest.mark.parametrize("where", ["top", "good", "pair"])
+def test_parser_names_a_foreign_key_in_place_of_one_of_ours(where):
+    # an object with as many keys as its own, one of them foreign, misses
+    # the one-pass accept and is named by the full check
+    data = certificate_to_dict(build_certificate(generic_system(2), 1))
+    obj, key, what = {
+        "top": (data, "fact2_sum", "the certificate"),
+        "good": (data["good"][0], "weight", "a good entry"),
+        "pair": (data["bad_pairs"][0], "sigma", "a bad pair"),
+    }[where]
+    obj["other"] = obj.pop(key)
+    with pytest.raises(ValueError, match=rf"unknown keys \['other'\] in {what}$"):
+        certificate_from_dict(data)
+
+
 def test_validate_checks_the_guard_before_building(monkeypatch):
     def refuse(n):
         raise AssertionError(f"generic_system({n}) built before the size guard")
