@@ -776,7 +776,8 @@ def test_auditor_texts_and_images_match_the_algebra(n):
 
 
 def test_validate_multiplies_no_weight_out(monkeypatch):
-    # the audit's only products and renderings are those of b_i * X_0
+    # the audit forms no polynomial product and renders nothing: every text
+    # it compares is built from the file's elements
     calls = {"mul": 0, "render": 0}
     mul, render = Polynomial.__mul__, Polynomial.render
 
@@ -791,12 +792,8 @@ def test_validate_multiplies_no_weight_out(monkeypatch):
     cert = build_certificate(generic_system(4), 2)
     monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
     monkeypatch.setattr(Polynomial, "render", counted_render)
-    gs = generic_system(4)
-    render_scalar(gs.rhs_entry(2) * big_x(gs, 0))
-    kernel = dict(calls)
-    calls.update(mul=0, render=0)
     validate_certificate(cert)
-    assert calls == kernel
+    assert calls == {"mul": 0, "render": 0}
 
 
 def test_validate_rejects_a_permutation_longer_than_the_system():
@@ -896,14 +893,6 @@ def _flip(pair):
 HI = fel(2, [1, 2, 3])  # the larger element of the first pair
 
 
-def _flaw_x0_off_by_one(d, m):
-    # b_i_times_X0 agrees with a big_x that is off by one, fact1_sum does not
-    gs = generic_system(3)
-    d["b_i_times_X0"] = str(gs.rhs_entry(1) * (big_x(gs, 0) + 1))
-    big = involution.big_x
-    m.setattr(involution, "big_x", lambda *args, **kw: big(*args, **kw) + 1)
-
-
 def _off_at_hi(m):
     # patches the auditor's weight text to read W + 1 at HI
     text = involution._weight_text
@@ -942,8 +931,7 @@ AUDIT_FLAWS = [
     ),
     (lambda d, m: d["good"][0].update(weight="0"), "good weight mismatch"),
     (lambda d, m: d.update(fact1_sum="0"), "fact1_sum does not match"),
-    (lambda d, m: d.update(b_i_times_X0="0"), "b_i_times_X0 does not match"),
-    (_flaw_x0_off_by_one, "fact1_sum != b_i_times_X0"),
+    (lambda d, m: d.update(b_i_times_X0="0"), "fact1_sum != b_i_times_X0"),
     (
         lambda d, m: d["bad_pairs"][0].update(j=1, pi=[1, 2, 3]),
         "contains a good element",
@@ -977,7 +965,7 @@ AUDIT_FLAWS = [
 ]
 AUDIT_FLAW_IDS = [
     "good-count", "pair-count", "bad-as-good", "good-swap", "good-repeat",
-    "good-weight", "fact1-sum", "b-times-x0", "fact1-vs-b", "good-in-pair",
+    "good-weight", "fact1-sum", "b-times-x0", "good-in-pair",
     "pair-flip", "pair-swap", "pair-repeat", "not-image", "not-image-back",
     "pair-weight", "not-negations", "fact2-sum", "good-size", "good-size-i-3",
     "pair-size",
@@ -1027,7 +1015,7 @@ def test_every_audit_and_parse_check_can_fail(monkeypatch):
         "_fields", "_element", "_expect_list", "_expect_int", "_expect_str",
     )
     raises = [n for f in functions for n in ast.walk(f) if isinstance(n, ast.Raise)]
-    assert len(raises) == 24
+    assert len(raises) == 23
     real = _flaw_outcomes(involution, monkeypatch)
     assert None not in real
     for node in raises:
