@@ -204,8 +204,8 @@ def build_certificate(
     Good entries are sorted by (j, permutation values); each bad pair is
     listed once, smaller element first, pairs sorted by their smaller
     element.  Any other system raises ValueError, as for the fact checks:
-    the file names no system, and :func:`validate_certificate` recomputes
-    every weight on the generic one.  Raises RuntimeError when any fact 1
+    the file names no system, and :func:`validate_certificate` writes
+    every weight as the generic one's.  Raises RuntimeError when any fact 1
     or fact 2 check fails.
     """
     cert = _walk(sys, i, max_n, collect=True)[2]

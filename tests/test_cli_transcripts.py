@@ -248,6 +248,7 @@ TRANSCRIPTS = {
     "validate-certificate --input audit-good-weight.json": (1, "", "2e34a4856c35277a"),
     "validate-certificate --input audit-fact1-sum.json": (1, "", "12e9a5b1dc32d2c9"),
     "validate-certificate --input audit-b-times-x0.json": (1, "", "f8b7766496cc6a8f"),
+    "validate-certificate --input audit-fact1-order.json": (1, "", "12e9a5b1dc32d2c9"),
     "validate-certificate --input audit-good-in-pair.json": (1, "", "3c8368e3fd76382c"),
     "validate-certificate --input audit-pair-flip.json": (1, "", "d779ab12e9305e72"),
     "validate-certificate --input audit-pair-swap.json": (1, "", "6eada7b8d75ec081"),

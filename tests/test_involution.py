@@ -775,6 +775,67 @@ def test_auditor_texts_and_images_match_the_algebra(n):
                 assert involution._image(i, j, values) == (t.j, t.p.values)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_auditor_join_is_the_kernels_b_i_times_x0(n):
+    # the auditor's fact1_sum, the good texts of all of S_n joined by
+    # _joined, renders b_i * X_0 from the kernel for every row
+    gs = generic_system(n)
+    x0, text = big_x(gs, 0), involution._weight_text
+    for i in range(1, n + 1):
+        terms = [
+            (sorted(range(n), key=v.__getitem__), text(i, v.index(i) + 1, v))
+            for v, _ in iter_signed_values(n)
+        ]
+        assert involution._joined(terms) == render_scalar(gs.rhs_entry(i) * x0)
+
+
+def test_audit_runs_without_the_kernel(monkeypatch):
+    # a full audit of every valid certificate with n <= 4 passes with the
+    # generic system, the kernel and the renderer out of reach
+    certs = [
+        build_certificate(generic_system(n), i)
+        for n in range(1, 5)
+        for i in range(1, n + 1)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit reached the solver")
+
+    for name in ("generic_system", "big_x", "render_scalar"):
+        monkeypatch.setattr(involution, name, refuse)
+    for cert in certs:
+        validate_certificate(cert)
+
+
+AUDITOR = {
+    "validate_certificate", "_weight_text", "_names", "_image", "_check_size",
+    "_second", "_joined",
+}
+
+
+def test_auditor_uses_nothing_of_algebra_or_cramer():
+    # validate_certificate and every module function it reaches reference no
+    # name that involution imports from .algebra or .cramer
+    tree = ast.parse(SOURCE)
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and node.module in ("algebra", "cramer")
+        for alias in node.names
+    }
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached, todo = set(), ["validate_certificate"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert not names & imported, name
+        todo.extend(names & functions.keys() - reached)
+    assert reached == AUDITOR
+
+
 def test_validate_multiplies_no_weight_out(monkeypatch):
     # the audit forms no polynomial product and renders nothing: every text
     # it compares is built from the file's elements
@@ -893,6 +954,14 @@ def _flip(pair):
 HI = fel(2, [1, 2, 3])  # the larger element of the first pair
 
 
+def _swap_fact1_terms(d, m):
+    # fact1_sum and b_i_times_X0 with their first two terms swapped: the same
+    # multiset of terms, out of the renderer's order
+    terms = d["fact1_sum"].replace(" - ", " + -").split(" + ")
+    terms[0], terms[1] = terms[1], terms[0]
+    d["fact1_sum"] = d["b_i_times_X0"] = " + ".join(terms).replace(" + -", " - ")
+
+
 def _off_at_hi(m):
     # patches the auditor's weight text to read W + 1 at HI
     text = involution._weight_text
@@ -932,6 +1001,7 @@ AUDIT_FLAWS = [
     (lambda d, m: d["good"][0].update(weight="0"), "good weight mismatch"),
     (lambda d, m: d.update(fact1_sum="0"), "fact1_sum does not match"),
     (lambda d, m: d.update(b_i_times_X0="0"), "fact1_sum != b_i_times_X0"),
+    (_swap_fact1_terms, "fact1_sum does not match the good weights"),
     (
         lambda d, m: d["bad_pairs"][0].update(j=1, pi=[1, 2, 3]),
         "contains a good element",
@@ -965,7 +1035,7 @@ AUDIT_FLAWS = [
 ]
 AUDIT_FLAW_IDS = [
     "good-count", "pair-count", "bad-as-good", "good-swap", "good-repeat",
-    "good-weight", "fact1-sum", "b-times-x0", "good-in-pair",
+    "good-weight", "fact1-sum", "b-times-x0", "fact1-order", "good-in-pair",
     "pair-flip", "pair-swap", "pair-repeat", "not-image", "not-image-back",
     "pair-weight", "not-negations", "fact2-sum", "good-size", "good-size-i-3",
     "pair-size",
