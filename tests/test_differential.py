@@ -4,8 +4,9 @@ kernel, pinned by digest.
 Every certificate with n <= 6, written as ``check-involution
 --emit-certificate`` writes it, every field of the fact reports of
 ``generic_system(n)``, n <= 6, rendered one per line, and every sum of
-``all_big_x`` for ``generic_system(n)`` and for seeded integer and p/q
-systems, n <= 6, rendered one per line, are hashed with SHA-256 and
+``all_big_x`` for ``generic_system(n)``, n <= 7, and for seeded integer and
+p/q systems, n <= 6, rendered one per line, and the same sums from
+``big_x(sys, j)`` one j at a time, are hashed with SHA-256 and
 compared with the committed digests below.  A change to the walk, the
 writer, the auditor or the kernel must leave them all as they are; one
 that alters an output on purpose must edit a digest here, where the diff
@@ -13,7 +14,8 @@ shows it.  The n = 4 and n = 5
 digests must also equal the older pins: ``CERT_N4_SHA256`` in
 test_involution.py and ``CERT_SHA256`` in perfbench/workloads.py, read from
 their source.  The n = 7 certificates take too long for this suite; CI
-checks them against tests/cert_n7.sha256.
+checks them against tests/cert_n7.sha256, and the n = 8 generic sums
+against tests/kernel_n8.sha256.
 """
 
 import ast
@@ -26,6 +28,7 @@ import pytest
 
 from cramerkit import (
     all_big_x,
+    big_x,
     build_certificate,
     certificate_to_dict,
     check_fact1,
@@ -90,8 +93,9 @@ REPORT_SHA256 = {
     (6, 6): "ee368684f34b2f97eb70693b555eeef3b65d8055d07c9b9bc00966beee562219",
 }
 
-# SHA-256 of [X_0, ..., X_n] from all_big_x, one render_scalar line per sum;
-# the int and p/q systems of size n are drawn from random.Random(1900 + n)
+# SHA-256 of [X_0, ..., X_n] from all_big_x, one render_scalar line per sum,
+# and of the same list from n + 1 calls of big_x(sys, j); the int and p/q
+# systems of size n are drawn from random.Random(1900 + n)
 KERNEL_SHA256 = {
     ("generic", 1): "c9123ae43920b2dd5fcf31738ea0e790bb8312b84e5e417d4499d48cc6cc08b8",
     ("generic", 2): "dd4e9a492ceb47e0e30c70d8df6ae7e006eb8215d4c7a7aba920f23454b8ffb4",
@@ -99,6 +103,7 @@ KERNEL_SHA256 = {
     ("generic", 4): "9de3f2faf38c915efd14a2939eab071b8ac6e1677736e5cf5affee2795ea45a6",
     ("generic", 5): "1d38bbfba3f873de852b884bb1bd01fea7b000066337629d4a3791707fd912fc",
     ("generic", 6): "4846ceda5b1d2803a738521d112783b9792ec89687a301142a348c52f14b8145",
+    ("generic", 7): "c3fa1d68f821c8449b8d4364813c1fc4824a570494f72c19215b59e4f6fe18b3",
     ("int", 1): "bf515708924695d498f61fb24331181ba4278e2ae0a2ffda192df32ebca07e41",
     ("int", 2): "a41ddf66537439ffe5eaeef520aa412c8c15cee2ed7ba34420e3da017606948f",
     ("int", 3): "8dc708299d4f1a7c28877ce46e60ea8a5a74304cb05377fc81d9b9a23a1e7b47",
@@ -152,8 +157,9 @@ def test_report_fields(n, i):
 
 @pytest.mark.parametrize("kind, n", sorted(KERNEL_SHA256))
 def test_kernel_sums(kind, n):
-    xs = all_big_x(_KERNEL_SYSTEMS[kind](n))
-    assert _sha256("".join(render_scalar(x) + "\n" for x in xs)) == KERNEL_SHA256[kind, n]
+    sys = _KERNEL_SYSTEMS[kind](n)
+    for xs in all_big_x(sys), [big_x(sys, j) for j in range(n + 1)]:
+        assert _sha256("".join(render_scalar(x) + "\n" for x in xs)) == KERNEL_SHA256[kind, n]
 
 
 def test_digests_agree_with_the_older_pins():
