@@ -9,22 +9,22 @@ permutation pi of {1..n} gets n+1 weights:
   factor replaced by b[pi_j].
 
 Summing a weight over all of S_n gives X_j; the solution of the system is
-the quotient sequence x_j = X_j / X_0.  :func:`_leibniz` adds the same
-signed products grouped by the set of rows that fill a run of columns
-(Laplace expansion with memoization); exact arithmetic makes the sum
-independent of that grouping.  All n+1 sums come from two sweeps of one
-column step: a forward sweep over columns 1, 2, ... ends at X_0, and its
-prefix over columns 1..j-1 extended by b is the head of X_j; a backward
-sweep over columns n, n-1, ... gives the tail over columns j+1..n.  X_j,
-the determinant of A with column j replaced by b, is the signed join of
-head and tail over complementary row sets: O(n 2^n) multiplications for
-all n+1 sums, where summing each separately takes O(n n!).  The tails
-not yet joined are held, at most 2^n - 1 partial sums; X_0 alone builds
-none.  The column step visits only each row set's free rows, which
-``_free_rows(n)`` lists once per size, with each row's sign folded into
-its index: n 2^(n-1) bytes of indices, about 3.2 MB at n = 16.  A
-rational system is summed over Python ints: each row of [A | b] is scaled
-by the lcm of its denominators, which scales every X_j by the same
+the quotient sequence x_j = X_j / X_0.  X_j, the determinant of A with
+column j replaced by b, is the X_0 of that system.  :func:`_leibniz` adds
+the same signed products grouped by the set of rows that fill a run of
+columns (Laplace expansion with memoization); exact arithmetic makes the
+sum independent of that grouping.  X_0 is one forward sweep of a column
+step over columns 1..n; every X_j at once adds a backward sweep over
+columns n down to 2, run first.  The forward prefix over columns 1..j-1
+extended by b is the head of X_j, which is the signed join of head and
+tail over columns j+1..n on complementary row sets: O(n 2^n)
+multiplications for all n+1 sums, where summing each separately takes
+O(n n!).  The tails not yet joined are held, at most 2^n - 1 partial sums;
+X_0 alone builds none.  The column step visits only each row set's free
+rows, which ``_free_rows(n)`` lists once per size, with each row's sign
+folded into its index: n 2^(n-1) bytes of indices, about 3.2 MB at n = 16.
+A rational system is summed over Python ints: each row of [A | b] is
+scaled by the lcm of its denominators, which scales every X_j by the same
 product D, and each sum is divided by D once at the end.  The F_n checker
 in involution.py still streams S_n one permutation at a time.
 
@@ -129,8 +129,9 @@ def _exact(x: Union[int, str, Fraction]) -> Fraction:
     return Fraction(x)
 
 
+@cache
 def generic_system(n: int) -> LinearSystem:
-    """The fully symbolic system: entry (i,j) = a[i,j], rhs i = b[i]."""
+    """The fully symbolic system: entry (i,j) = a[i,j], rhs i = b[i]; one per n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return LinearSystem(
@@ -183,13 +184,17 @@ def weight_wj(sys: LinearSystem, j: int, p: Permutation) -> Scalar:
 def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
     """X_j: the w_j weight summed over all of S_n (j = 0 sums w_0).
 
-    The sum holds the system's scalar type (Fraction or Polynomial), also
-    when it is zero.
+    For j >= 1 this is Cramer's definition: the X_0 of the system with
+    column j of A replaced by b.  The sum holds the system's scalar type
+    (Fraction or Polynomial), also when it is zero.
     """
     if not 0 <= j <= sys.n:
         raise ValueError(f"j={j} outside 0..{sys.n}")
     _check_guard(sys.n, max_n)
-    return _leibniz(sys, (j,))[0]
+    if j:
+        cols = tuple((*row[: j - 1], b, *row[j:]) for row, b in zip(sys.entries, sys.rhs))
+        sys = LinearSystem(cols, sys.rhs)
+    return _leibniz(sys, False)[0]
 
 
 def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
@@ -223,7 +228,7 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
 def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:
     """[X_0, X_1, ..., X_n], each as :func:`big_x` computes it, in one sweep."""
     _check_guard(sys.n, max_n)
-    return _leibniz(sys, range(sys.n + 1))
+    return _leibniz(sys, True)
 
 
 def verify_identity(
@@ -263,63 +268,57 @@ def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) ->
     return prod if sgn > 0 else -prod
 
 
-def _leibniz(sys: LinearSystem, js: Sequence[int]) -> list[Scalar]:
-    # [X_j for j in js]: the sums over S_n of sign(pi) * prod_k cols[k][pi_k],
-    # where X_0 takes the columns of A and X_j puts b in column j.  prefix
-    # fills columns 1..k in order; tails[m] fills the last m columns from
-    # column n down, so its sign counts the C(m, 2) - inv pairs of them that
-    # are not inversions.  X_j joins its head (the prefix over columns
-    # 1..j-1, then b) on rows M with tails[n - j] on the other rows; the
-    # split between columns j and j+1 adds sum(M) - C(j, 2) inversions (rows
-    # 0-based), so the join's sign is that of C(j, 2) + C(n - j, 2) + sum(M).
-    rows, unscale = _ring_rows(sys)
+def _leibniz(sys: LinearSystem, every_j: bool) -> list[Scalar]:
+    # [X_0], or [X_0, X_1, ..., X_n] with every_j: the sums over S_n of
+    # sign(pi) * prod_k cols[k][pi_k], where X_0 takes the columns of A and
+    # X_j puts b in column j.  prefix fills columns 1..k in order; tails[m]
+    # fills the last m columns from column n down, so its sign counts the
+    # C(m, 2) - inv pairs of them that are not inversions.  X_j joins its
+    # head (the prefix over columns 1..j-1, then b) on rows M with
+    # tails[n - j] on the other rows; the split between columns j and j+1
+    # adds sum(M) - C(j, 2) inversions (rows 0-based), so the join's sign is
+    # that of C(j, 2) + C(n - j, 2) + sum(M).
+    rows, zero, unscale = _ring_rows(sys)
     *cols, rhs = zip(*rows)
     n = sys.n
     full = (1 << n) - 1
     odd_rows = int("10" * n, 2) & full  # the bits of rows 1, 3, 5, ...
-    tails = {}
-    tail = {0: 1}  # columns n-m+1..n of A, filled from column n, by used-row mask
-    for m in range(n + 1 - min((j for j in js if j), default=n)):
-        if m:
-            tail = _extend(tail, cols[n - m])
-        if n - m in js:
-            tails[m] = tail
-    sums = {}
+    tails = [{0: 1}]  # columns n-m+1..n of A, filled from column n, by used-row mask
+    for m in range(1, n if every_j else 0):
+        tails.append(_extend(tails[-1], cols[n - m]))
+    xs = []
     prefix = {0: 1}  # columns 1..k of A, by used-row mask
-    for k in range(n + 1 if 0 in js else max(js)):
-        if k:
-            prefix = _extend(prefix, cols[k - 1])
-        if k + 1 in js:
-            m = n - k - 1
-            tail = tails.pop(m)
+    for k in range(n):
+        if every_j:
+            tail = tails.pop()  # the longest left, over columns k+2..n
+            m = len(tails)
             flip = (k * (k + 1) // 2 + m * (m - 1) // 2) & 1
             terms = (
                 (-head if ((used & odd_rows).bit_count() ^ flip) & 1 else head)
                 * tail[full ^ used]
                 for used, head in _extend(prefix, rhs).items()
             )
-            sums[k + 1] = sum(terms) if sys.mode == RATIONAL else _sum(terms, sys.zero)
-    if 0 in js:
-        sums[0] = prefix[full]  # the prefix now holds every column of A
-    return [unscale(sums[j]) for j in js]
+            xs.append(_sum(terms, zero))
+        prefix = _extend(prefix, cols[k])
+    return [unscale(x) for x in (prefix[full], *xs)]
 
 
-def _ring_rows(sys: LinearSystem) -> tuple[list[tuple], Callable[[Scalar], Scalar]]:
-    # The rows of [A | b] over a ring that needs no division, and the map
-    # from a sum over those rows back to X_j.  A rational row is scaled by
-    # the lcm of its denominators, so its entries are ints; scaling row i
-    # by m_i scales every X_j by the product D of the m_i, whichever column
-    # holds b, and one division by D at the end restores it.  Polynomial
-    # rows already have integer coefficients and pass through.
+def _ring_rows(sys: LinearSystem) -> tuple[list[tuple], Scalar, Callable[[Scalar], Scalar]]:
+    # The rows of [A | b] over a ring that needs no division, its zero, and
+    # the map from a sum over those rows back to X_j.  A rational row is
+    # scaled by the lcm of its denominators, so its entries are ints; scaling
+    # row i by m_i scales every X_j by the product D of the m_i, whichever
+    # column holds b, and one division by D at the end restores it.
+    # Polynomial rows already have integer coefficients and pass through.
     rows = [(*row, b) for row, b in zip(sys.entries, sys.rhs)]
     if sys.mode == SYMBOLIC:
-        return rows, lambda x: x
+        return rows, Polynomial.zero(), lambda x: x
     d = 1
     for i, row in enumerate(rows):
         m = math.lcm(*(x.denominator for x in row))
         rows[i] = tuple(x.numerator * (m // x.denominator) for x in row)
         d *= m
-    return rows, lambda x: Fraction(x, d)
+    return rows, 0, lambda x: Fraction(x, d)
 
 
 def _extend(partial: dict, col: Sequence[Scalar]) -> dict:

@@ -214,8 +214,9 @@ def test_solve_guard_and_override(tmp_path, capsys):
 def test_solve_residual_failure_exits_1(tmp_path, capsys, monkeypatch):
     leibniz = cramer._leibniz
 
-    def corrupt_x1(sys, js):
-        return [x + 1 if j == 1 else x for j, x in zip(js, leibniz(sys, js))]
+    def corrupt_x1(sys, every_j):
+        xs = leibniz(sys, every_j)
+        return [xs[0], xs[1] + 1, *xs[2:]] if every_j else xs
 
     monkeypatch.setattr(cramer, "_leibniz", corrupt_x1)
     path = write_doc(tmp_path, "s.json", rational_doc([[1, 1], [1, -1]], [3, 1]))
@@ -272,15 +273,15 @@ def test_verify_identity_computes_x_once(capsys, monkeypatch):
     leibniz = cramer._leibniz
     calls = []
 
-    def counting(sys, js):
-        calls.append(list(js))
-        return leibniz(sys, js)
+    def counting(sys, every_j):
+        calls.append(every_j)
+        return leibniz(sys, every_j)
 
     monkeypatch.setattr(cramer, "_leibniz", counting)
     code, out, _ = run(capsys, "verify-identity", "--n", "4")
     assert code == EXIT_OK
     assert out.splitlines() == [f"i={i}: PASS" for i in range(1, 5)]
-    assert calls == [[0, 1, 2, 3, 4]]  # one sweep for X_0..X_4, shared by all rows
+    assert calls == [True]  # one sweep for X_0..X_4, shared by all rows
 
 
 # -- check-involution ---------------------------------------------------------------

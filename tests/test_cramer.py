@@ -91,6 +91,12 @@ def test_weight_errors():
         weight_wj(gs, 3, make_permutation([1, 2]))
 
 
+def test_generic_system_is_built_once_per_size():
+    assert generic_system(4) is generic_system(4)
+    with pytest.raises(ValueError):
+        generic_system(0)
+
+
 # -- X_j -----------------------------------------------------------------------
 
 
@@ -265,7 +271,7 @@ def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
     # the rational kernel multiplies ints only (rows scaled by the lcm of
     # their denominators), and all n + 1 sums share their column sweeps:
     # n forward steps for X_0, one head step per X_j and n - 1 backward
-    # steps for the tails, 11 at n = 4, not (n+1)*n; X_0 alone takes n
+    # steps for the tails, 11 at n = 4, not (n+1)*n; any one X_j takes n
     extend = cramer._extend
     steps = []
 
@@ -283,9 +289,11 @@ def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
     all_big_x(sys)
     assert len(steps) == 4 + 4 + 3
     assert all(kinds == {int} for kinds in steps)
-    steps.clear()
-    big_x(sys, 0)
-    assert len(steps) == 4
+    for j in range(5):
+        steps.clear()
+        big_x(sys, j)
+        assert len(steps) == 4
+        assert all(kinds == {int} for kinds in steps)
 
 
 # -- solving -------------------------------------------------------------------
@@ -341,8 +349,9 @@ def test_solve_residuals_exact():
 def test_solve_raises_the_exported_residual_error(monkeypatch):
     leibniz = cramer._leibniz
 
-    def corrupt_x1(sys, js):
-        return [x + 1 if j == 1 else x for j, x in zip(js, leibniz(sys, js))]
+    def corrupt_x1(sys, every_j):
+        xs = leibniz(sys, every_j)
+        return [xs[0], xs[1] + 1, *xs[2:]] if every_j else xs
 
     monkeypatch.setattr(cramer, "_leibniz", corrupt_x1)
     with pytest.raises(ResidualError, match="residual"):
