@@ -368,9 +368,10 @@ def _render(key: int, sgn: int) -> str:
 
 
 def _felement(e: tuple[int, tuple[int, ...]]) -> FElement:
-    # a walk row (j, values) -> the public element, unchecked: the values
-    # come from the S_n stream or _partner, a permutation of 1..n with j in
-    # 1..n by construction, so tuple.__new__ skips both records' checks
+    # (j, values) -> the public element, unchecked: the walk's values come
+    # from the S_n stream or _partner, and the reader's (_element) have
+    # passed its own checks, a permutation of 1..n with j in 1..n either
+    # way, so tuple.__new__ skips both records' checks
     return tuple.__new__(FElement, (e[0], tuple.__new__(Permutation, (e[1],))))
 
 
@@ -594,17 +595,14 @@ def _fields(obj, keys: tuple, what: str) -> list:
 
 def _element(j, values, j_key: str, p_key: str) -> FElement:
     # an entry's position and permutation; a fault names the entry's own keys.
-    # An entry of exact ints that sort to 1..n, with j in 1..n, passes every
-    # check below, so it is built in one pass; any other takes the checks.
-    if type(j) is int and type(values) is list and 1 <= j <= len(values):
-        p = tuple(values)
-        if {*map(type, p)} == {int} and sorted(p) == [*range(1, len(p) + 1)]:
-            return tuple.__new__(FElement, (j, tuple.__new__(Permutation, (p,))))
-    j, values = _expect_int(j, j_key), _expect_list(values, p_key)
-    p = Permutation(tuple(values))  # which checks each value's type
-    if not 1 <= j <= p.n:
-        raise ValueError(f"{j_key}={j} outside 1..{p.n}")
-    return FElement(j, p)
+    # Exact ints that sort to 1..n are a permutation; any other values fail
+    # Permutation's checks, which name the fault
+    j, p = _expect_int(j, j_key), tuple(_expect_list(values, p_key))
+    if {*map(type, p)} != {int} or sorted(p) != [*range(1, len(p) + 1)]:
+        Permutation(p)
+    if not 1 <= j <= len(p):
+        raise ValueError(f"{j_key}={j} outside 1..{len(p)}")
+    return _felement((j, p))
 
 
 def _expect_list(v, what: str) -> list:
