@@ -192,8 +192,8 @@ def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
         raise ValueError(f"j={j} outside 0..{sys.n}")
     _check_guard(sys.n, max_n)
     if j:
-        cols = tuple((*row[: j - 1], b, *row[j:]) for row, b in zip(sys.entries, sys.rhs))
-        sys = LinearSystem(cols, sys.rhs)
+        rows = tuple((*row[: j - 1], b, *row[j:]) for row, b in zip(sys.entries, sys.rhs))
+        sys = LinearSystem(rows, sys.rhs)
     return _leibniz(sys, False)[0]
 
 
@@ -226,7 +226,7 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
 
 
 def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:
-    """[X_0, X_1, ..., X_n], each as :func:`big_x` computes it, in one sweep."""
+    """[X_0, X_1, ..., X_n], each equal to :func:`big_x`'s, from two shared sweeps."""
     _check_guard(sys.n, max_n)
     return _leibniz(sys, True)
 
