@@ -201,14 +201,14 @@ def _packed(p: "Polynomial") -> int:
     return m
 
 
-def _fold(terms: dict, other: dict, sign: int = 1) -> None:
-    # terms += sign * other, in place; cancelled terms are dropped
+def _fold(terms: dict, other: dict) -> None:
+    # terms += other, in place; cancelled terms are dropped
     if terms.keys().isdisjoint(other.keys()):  # the usual case in a Leibniz sum
-        terms.update(other if sign > 0 else {m: -c for m, c in other.items()})
+        terms.update(other)
         return
     get = terms.get
     for m, c in other.items():
-        c = get(m, 0) + sign * c
+        c = get(m, 0) + c
         if c:
             terms[m] = c
         else:
@@ -287,9 +287,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        _fold(terms, other._terms, -1)
-        return _owned(terms)
+        return self + -other
 
     def __rsub__(self, other: "Polynomial | int") -> "Polynomial":
         other = _coerce(other)

@@ -16,13 +16,15 @@ columns (Laplace expansion with memoization); exact arithmetic makes the
 sum independent of that grouping.  X_0 is one forward sweep of a column
 step over columns 1..n; every X_j at once adds a backward sweep over
 columns n down to 2, run first.  The forward prefix over columns 1..j-1
-extended by b is the head of X_j, which is the signed join of head and
-tail over columns j+1..n on complementary row sets: O(n 2^n)
-multiplications for all n+1 sums, where summing each separately takes
-O(n n!).  The tails not yet joined are held, at most 2^n - 1 partial sums;
-X_0 alone builds none.  The column step visits only each row set's free
-rows, which ``_free_rows(n)`` lists once per size, with each row's sign
-folded into its index: n 2^(n-1) bytes of indices, about 3.2 MB at n = 16.
+extended by b is the head of X_j, and the tail over columns j+1..n holds
+the other rows: X_j = (-1)^(j(n-j)) sum_M head[M] * tail[rest], with the
+row signs of the split carried by the tails' entries (row r's times
+(-1)^r) and (-1)^(j(n-j)) by b's.  That is O(n 2^n) multiplications for
+all n+1 sums, where summing each separately takes O(n n!).  The tails not
+yet joined are held, at most 2^n - 1 partial sums; X_0 alone builds none.
+The column step visits only each row set's free rows, which
+``_free_rows(n)`` lists once per size, with each row's sign folded into
+its index: n 2^(n-1) bytes of indices, about 3.2 MB at n = 16.
 A rational system is summed over Python ints: each row of [A | b] is
 scaled by the lcm of its denominators, which scales every X_j by the same
 product D, and each sum is divided by D once at the end.  The F_n checker
@@ -242,18 +244,16 @@ def verify_identity(
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
-    return _identity_report(sys, i, all_big_x(sys, max_n=max_n))
+    lhs, rhs = _identity_sides(sys, i, all_big_x(sys, max_n=max_n))
+    return IdentityReport(i, lhs == rhs, render_scalar(lhs), render_scalar(rhs))
 
 
-def _identity_report(
+def _identity_sides(
     sys: LinearSystem, i: int, xs: Sequence[Scalar]
-) -> IdentityReport:
-    # row identity i checked against precomputed [X_0, ..., X_n]
+) -> tuple[Scalar, Scalar]:
+    # both sides of row identity i against precomputed [X_0, ..., X_n]
     lhs = _sum((sys.entry(i, j) * xs[j] for j in range(1, sys.n + 1)), sys.zero)
-    rhs = sys.rhs_entry(i) * xs[0]
-    return IdentityReport(
-        i=i, ok=(lhs == rhs), lhs=render_scalar(lhs), rhs=render_scalar(rhs)
-    )
+    return lhs, sys.rhs_entry(i) * xs[0]
 
 
 def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) -> Scalar:
@@ -273,32 +273,29 @@ def _leibniz(sys: LinearSystem, every_j: bool) -> list[Scalar]:
     # sign(pi) * prod_k cols[k][pi_k], where X_0 takes the columns of A and
     # X_j puts b in column j.  prefix fills columns 1..k in order; tails[m]
     # fills the last m columns from column n down, so its sign counts the
-    # C(m, 2) - inv pairs of them that are not inversions.  X_j joins its
-    # head (the prefix over columns 1..j-1, then b) on rows M with
-    # tails[n - j] on the other rows; the split between columns j and j+1
-    # adds sum(M) - C(j, 2) inversions (rows 0-based), so the join's sign is
-    # that of C(j, 2) + C(n - j, 2) + sum(M).
+    # C(m, 2) - inv pairs of them that are not inversions, and row r's
+    # entries there carry (-1)^r (rows 0-based).  X_j is the Laplace join of
+    # its head (the prefix over columns 1..j-1, then b) on rows M with
+    # tails[n - j] on the other rows: (-1)^(j(n-j)) sum_M head[M] * tail[rest].
+    # The split adds sum(M) - C(j, 2) inversions and the row signs give
+    # sum(M) + C(n, 2); C(j, 2) + C(n - j, 2) + C(n, 2) = j(n - j) (mod 2),
+    # so b's entries in X_j's head carry (-1)^(j(n-j)) and no term a sign.
     rows, zero, unscale = _ring_rows(sys)
     *cols, rhs = zip(*rows)
     n = sys.n
     full = (1 << n) - 1
-    odd_rows = int("10" * n, 2) & full  # the bits of rows 1, 3, 5, ...
     tails = [{0: 1}]  # columns n-m+1..n of A, filled from column n, by used-row mask
     for m in range(1, n if every_j else 0):
-        tails.append(_extend(tails[-1], cols[n - m]))
+        col = [-x if r & 1 else x for r, x in enumerate(cols[n - m])]
+        tails.append(_extend(tails[-1], col))
     xs = []
+    neg_rhs = [-x for x in rhs]
     prefix = {0: 1}  # columns 1..k of A, by used-row mask
     for k in range(n):
         if every_j:
             tail = tails.pop()  # the longest left, over columns k+2..n
-            m = len(tails)
-            flip = (k * (k + 1) // 2 + m * (m - 1) // 2) & 1
-            terms = (
-                (-head if ((used & odd_rows).bit_count() ^ flip) & 1 else head)
-                * tail[full ^ used]
-                for used, head in _extend(prefix, rhs).items()
-            )
-            xs.append(_sum(terms, zero))
+            head = _extend(prefix, (rhs, neg_rhs)[(k + 1) * (n - k - 1) & 1])
+            xs.append(_sum((h * tail[full ^ used] for used, h in head.items()), zero))
         prefix = _extend(prefix, cols[k])
     return [unscale(x) for x in (prefix[full], *xs)]
 

@@ -612,7 +612,7 @@ def _expect_list(v, what: str) -> list:
 
 
 def _expect_int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if type(v) is not int:  # as FElement: no bool, and no other int subclass
         raise TypeError(f"{what} must be an integer, got {v!r}")
     return v
 

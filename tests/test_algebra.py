@@ -487,6 +487,15 @@ def test_packed_arithmetic_matches_a_dense_reference(x, y):
     )
     assert (p.terms(), p.render()) == (dense_terms(x), dense_render(x))
     assert ((p + q).terms(), (p + q).render()) == (dense_terms(total), dense_render(total))
+    minus_x, minus_y = ([(v, -c) for v, c in ref.items()] for ref in (x, y))
+    difference = dense_combine([*x.items(), *minus_y])
+    assert ((p - q).terms(), (p - q).render()) == (
+        dense_terms(difference), dense_render(difference)
+    )
+    three_minus_p = dense_combine([((0,) * len(REF_SYMBOLS), 3), *minus_x])
+    assert ((3 - p).terms(), (3 - p).render()) == (
+        dense_terms(three_minus_p), dense_render(three_minus_p)
+    )
     assert ((p * q).terms(), (p * q).render()) == (
         dense_terms(product), dense_render(product)
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cramerkit import cli, cramer, involution, oracle
+from cramerkit import algebra, cli, cramer, involution, oracle
 from cramerkit import (
     build_certificate,
     certificate_from_dict,
@@ -252,13 +252,13 @@ def test_verify_identity_guard(capsys):
 
 
 def test_verify_identity_failure_prints_both_sides(capsys, monkeypatch):
-    report = cramer._identity_report
+    sides = cramer._identity_sides
 
     def x0_off_by_one(sys, i, xs):
         # row 2 is checked against X_0 + 1, so its right side gains b[2]
-        return report(sys, i, [xs[0] + 1, *xs[1:]] if i == 2 else xs)
+        return sides(sys, i, [xs[0] + 1, *xs[1:]] if i == 2 else xs)
 
-    monkeypatch.setattr(cli, "_identity_report", x0_off_by_one)
+    monkeypatch.setattr(cli, "_identity_sides", x0_off_by_one)
     code, out, _ = run(capsys, "verify-identity", "--n", "2")
     assert code == EXIT_FAIL
     assert out.splitlines() == [
@@ -282,6 +282,22 @@ def test_verify_identity_computes_x_once(capsys, monkeypatch):
     assert code == EXIT_OK
     assert out.splitlines() == [f"i={i}: PASS" for i in range(1, 5)]
     assert calls == [True]  # one sweep for X_0..X_4, shared by all rows
+
+
+def test_verify_identity_renders_no_passing_row(capsys, monkeypatch):
+    # a passing row prints PASS alone, so neither of its sides is rendered
+    rendered = []
+
+    def counting(x):
+        rendered.append(x)
+        return algebra.render_scalar(x)
+
+    monkeypatch.setattr(cli, "render_scalar", counting)
+    monkeypatch.setattr(cramer, "render_scalar", counting)
+    code, out, _ = run(capsys, "verify-identity", "--n", "3")
+    assert code == EXIT_OK
+    assert out.splitlines() == [f"i={i}: PASS" for i in range(1, 4)]
+    assert rendered == []
 
 
 # -- check-involution ---------------------------------------------------------------

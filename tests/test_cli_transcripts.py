@@ -143,20 +143,20 @@ def _transcripts(tmp_path, capsys, monkeypatch):
             for name in file_only
         ),
     ]
-    report = cli._identity_report
+    sides = cli._identity_sides
 
     def x0_off_by_one(sys, i, xs):
         # row 2 is checked against X_0 + 1, so its right side gains b[2]
-        return report(sys, i, [xs[0] + 1, *xs[1:]] if i == 2 else xs)
+        return sides(sys, i, [xs[0] + 1, *xs[1:]] if i == 2 else xs)
 
     commands.append([["verify-identity", "--n", "2"], x0_off_by_one])
     capsys.readouterr()
     transcripts = {}
-    for argv, identity_report in commands:
+    for argv, identity_sides in commands:
         with monkeypatch.context() as m:
             label = " ".join(argv)
-            if identity_report is not None:
-                m.setattr(cli, "_identity_report", identity_report)
+            if identity_sides is not None:
+                m.setattr(cli, "_identity_sides", identity_sides)
                 label = "[x0 off by one in row 2] " + label
             code = cli.main(argv)
         out, err = capsys.readouterr()

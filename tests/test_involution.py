@@ -607,6 +607,10 @@ def test_unchecked_elements_are_the_checked_ones(n):
             _exact_element(e)
 
 
+class IntSubclass(int):
+    """An int that is not exactly int, as no JSON document holds."""
+
+
 @pytest.mark.parametrize(
     "j, pi",
     [
@@ -614,6 +618,7 @@ def test_unchecked_elements_are_the_checked_ones(n):
         (True, [2, 1]), (1.0, [2, 1]), (1, [True, 2]), (1, [2, False]),
         (1, [1.0, 2]), (1, [1, 1]), (1, [0, 1]), (1, [1, 3]), (1, []),
         (1, (2, 1)), (1, ["1", "2"]), (1, [2, None]), (1, [[1], 2]),
+        (IntSubclass(1), [2, 1]),
     ],
 )
 def test_parser_accepts_exactly_the_checked_entries(j, pi):
