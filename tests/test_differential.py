@@ -6,8 +6,10 @@ Every certificate with n <= 6, written as ``check-involution
 ``generic_system(n)``, n <= 6, rendered one per line, and every sum of
 ``all_big_x`` for ``generic_system(n)``, n <= 7, and for seeded integer and
 p/q systems, n <= 6, rendered one per line, and the same sums from
-``big_x(sys, j)`` one j at a time, are hashed with SHA-256 and
-compared with the committed digests below.  A change to the walk, the
+``big_x(sys, j)`` one j at a time, and the numerators, denominator and
+quotients of ``solve`` on seeded nonsingular integer and p/q systems,
+n <= 9, are hashed with SHA-256 and compared with the committed digests
+below.  A change to the walk, the
 writer, the auditor or the kernel must leave them all as they are; one
 that alters an output on purpose must edit a digest here, where the diff
 shows it.  The n = 4 and n = 5
@@ -28,12 +30,14 @@ import pytest
 
 from cramerkit import (
     all_big_x,
+    bareiss_det,
     big_x,
     build_certificate,
     certificate_to_dict,
     check_fact1,
     check_fact2,
     generic_system,
+    solve,
 )
 from cramerkit.algebra import render_scalar
 
@@ -125,6 +129,45 @@ _KERNEL_SYSTEMS = {
 }
 
 
+# SHA-256 of solve's numerators X_1..X_n, denominator X_0 and quotients
+# x_1..x_n, one render_scalar line per value in that order; the system of
+# size n is the first nonsingular one drawn from random.Random(2400 + n)
+SOLVE_SHA256 = {
+    ("int", 1): "43746b742df5ba4d05f6c1cac6b3dfe08889d116ae3f474df9e62414af3cb4c8",
+    ("int", 2): "2e1cee9c03f45c7757f336dc30bf25c89314a7e4a551ccc5ad78b6bc1571d4d1",
+    ("int", 3): "fe4756d438f6842978e4eb997a1684dae070555b61a8e8d7fd493b56b7e446fe",
+    ("int", 4): "ddcfdcdb5f21e034620b302893ebd095b55c386212d3dc12c4bf996031b2100a",
+    ("int", 5): "66aaa69e5c09a54d033140707f0286dac25d8fb212bef03f1f5306b1fdbf3588",
+    ("int", 6): "f8f543ff3a9873f03c0b768ae2e0f51d17494ec5ff1cd67ba8021ae7060b2a6b",
+    ("int", 7): "8b488a563e63bb793f9e8380d393a7c2f7cc3cff8d25bfee9da95b78d6a2b0a0",
+    ("int", 8): "bf0437646097d21176fe941ef18de7b5a0fd914024f12d7e9c01b2d5d95138f6",
+    ("int", 9): "18c62dc1cc94440a3699ecb8ab208604a1e55aa6618b84dca4f5085714738ab3",
+    ("frac", 1): "ebbba6fc67c1d5537797f38d5f3bb4d8d598b199f3a41189c0018311ca42ccf6",
+    ("frac", 2): "d4dd897158f1907ba0b2786684f7c22fc226e1a793aca2d384546fda2e5511d2",
+    ("frac", 3): "7d17c1401f4845026b5011076473b8b2997cfaaabbd911ae59076dbe55460b28",
+    ("frac", 4): "1f5ee14a61a7b63b419ef130797cd3a5e4a2c7500ea17c0f4b39645b9144dc00",
+    ("frac", 5): "36745d8123c61c24a3958bef148c68953b002bca520f1b4628815a90a3bebf6a",
+    ("frac", 6): "35382398ae59673c3a8d7b685532d2ff1b54d74db5d883e90a1239502c6c22a2",
+    ("frac", 7): "c4230d44ee5d38d5198bd641cd6e28ef638443f313c100de4974006c61e963c2",
+    ("frac", 8): "c2fd365e990d3fff946a918cca7f24fa3b0c353e4b737001eda3c6604f9e4f5d",
+    ("frac", 9): "ba1e5ca30702ca14dc7ad40977fac085675854e1d7e2a7c1d8eeef998b1ee3ae",
+}
+
+
+def _nonsingular(draw, n: int):
+    rng = random.Random(2400 + n)
+    while True:
+        sys = draw(rng, n)
+        if bareiss_det(sys) != 0:
+            return sys
+
+
+_SOLVE_SYSTEMS = {
+    "int": lambda n: _nonsingular(random_int_system, n),
+    "frac": lambda n: _nonsingular(random_fraction_system, n),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -160,6 +203,13 @@ def test_kernel_sums(kind, n):
     sys = _KERNEL_SYSTEMS[kind](n)
     for xs in all_big_x(sys), [big_x(sys, j) for j in range(n + 1)]:
         assert _sha256("".join(render_scalar(x) + "\n" for x in xs)) == KERNEL_SHA256[kind, n]
+
+
+@pytest.mark.parametrize("kind, n", sorted(SOLVE_SHA256))
+def test_solve_values(kind, n):
+    sol = solve(_SOLVE_SYSTEMS[kind](n))
+    values = (*sol.numerators, sol.denominator, *sol.quotients)
+    assert _sha256("".join(render_scalar(x) + "\n" for x in values)) == SOLVE_SHA256[kind, n]
 
 
 def test_digests_agree_with_the_older_pins():
