@@ -203,9 +203,9 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
     """Solve the system as the quotients x_j = X_j / X_0.
 
     Rational mode raises SingularSystemError when X_0 = 0, and checks every
-    equation's residual exactly before returning (the quotient property is
-    enforced as a postcondition, not assumed).  Symbolic mode returns the
-    (X_j, X_0) pairs; a generic X_0 is never zero.
+    equation exactly before returning (the quotient property is enforced as
+    a postcondition, not assumed; see :func:`_checked_quotients`).  Symbolic
+    mode returns the (X_j, X_0) pairs; a generic X_0 is never zero.
 
     >>> sol = solve(rational_system([["1/2", "1/3"], ["1/4", "-1/5"]], ["1", "1/6"]))
     >>> sol.quotients
@@ -218,13 +218,41 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
     numerators = tuple(xs[1:])
     if sys.mode == SYMBOLIC:
         return Solution(numerators, x0, tuple((xj, x0) for xj in numerators))
-    if x0 == 0:
+    return Solution(numerators, x0, _checked_quotients(sys, xs))
+
+
+def _checked_quotients(sys: LinearSystem, xs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The quotients X_j / X_0 of a rational system, checked to solve it.
+
+    Raises SingularSystemError when X_0 = 0, and ResidualError when some
+    equation sum_j a[i,j] x_j = b[i] fails.  The check runs over ints: with
+    L the lcm of the denominators of X_0..X_n, Y_j = L X_j is an int and
+    Y_j / Y_0 = X_j / X_0, so equation i holds exactly when
+    sum_j (m_i a[i,j]) Y_j = (m_i b[i]) Y_0, where m_i, the lcm of row i's
+    denominators (b[i]'s included), makes every factor an int.  The rows are
+    scaled here, from the system itself, not taken from the kernel's
+    ``_ring_rows``: a scaling fault there changes the system the kernel
+    solves, and a check over the same rows would pass it.  Each quotient is
+    built once, as Fraction(Y_j, Y_0), and checked against Y_j:
+    x_j.numerator * Y_0 = Y_j * x_j.denominator.  The two checks together
+    hold exactly when every Fraction residual sum_j a[i,j] x_j - b[i] of the
+    returned quotients is zero; no Fraction is multiplied or added.
+    """
+    if xs[0] == 0:
         raise SingularSystemError("singular system: X_0 = 0")
-    quotients = tuple(xj / x0 for xj in numerators)
+    scale = math.lcm(*(x.denominator for x in xs))
+    y0, *ys = [x.numerator * (scale // x.denominator) for x in xs]
+    weights = (*ys, -y0)  # [A | b] row times these is sum_j a[i,j] Y_j - b[i] Y_0
     for i, (row, b) in enumerate(zip(sys.entries, sys.rhs), start=1):
-        if sum(a * x for a, x in zip(row, quotients)) != b:
+        row = (*row, b)
+        m = math.lcm(*(x.denominator for x in row))
+        if sum(x.numerator * (m // x.denominator) * y for x, y in zip(row, weights)):
             raise ResidualError(f"internal error: nonzero residual in equation {i}")
-    return Solution(numerators, x0, quotients)
+    quotients = tuple(Fraction(y, y0) for y in ys)
+    for j, (x, y) in enumerate(zip(quotients, ys), start=1):
+        if x.numerator * y0 != y * x.denominator:
+            raise ResidualError(f"internal error: nonzero residual x{j} * X_0 - X_{j}")
+    return quotients
 
 
 def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:

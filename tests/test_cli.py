@@ -34,6 +34,8 @@ from cramerkit.cli import (
     parse_input_document,
 )
 
+from _support import SOLVE_FAULT_RHS, SOLVE_FAULT_ROWS, SOLVE_FAULTS
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -220,6 +222,16 @@ def test_solve_residual_failure_exits_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cramer, "_leibniz", corrupt_x1)
     path = write_doc(tmp_path, "s.json", rational_doc([[1, 1], [1, -1]], [3, 1]))
+    code, out, err = run(capsys, "solve", "--input", path)
+    assert code == EXIT_FAIL and out == ""
+    assert err.startswith("error: ") and "residual" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", SOLVE_FAULTS, ids=lambda f: f.__name__)
+def test_solve_postcondition_fault_exits_1(tmp_path, capsys, monkeypatch, fault):
+    path = write_doc(tmp_path, "s.json", rational_doc(SOLVE_FAULT_ROWS, SOLVE_FAULT_RHS))
+    fault(monkeypatch)
     code, out, err = run(capsys, "solve", "--input", path)
     assert code == EXIT_FAIL and out == ""
     assert err.startswith("error: ") and "residual" in err

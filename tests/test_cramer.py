@@ -29,7 +29,14 @@ from cramerkit import (
 )
 from cramerkit.algebra import Polynomial, a_symbol, b_symbol, make_monomial, render_scalar
 
-from _support import random_fraction, random_fraction_system, random_int_system
+from _support import (
+    SOLVE_FAULT_RHS,
+    SOLVE_FAULT_ROWS,
+    SOLVE_FAULTS,
+    random_fraction,
+    random_fraction_system,
+    random_int_system,
+)
 
 
 def mono(*symbols):
@@ -193,11 +200,13 @@ def _large_denominator_systems(draw):
     return rational_system([row[:n] for row in rows], [row[n] for row in rows])
 
 
+_int_systems = _entries(st.integers(-9, 9)).map(lambda ab: rational_system(*ab))
+_frac_systems = _entries(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))).map(
+    lambda ab: rational_system(*ab)
+)
 _systems = st.one_of(
-    _entries(st.integers(-9, 9)).map(lambda ab: rational_system(*ab)),
-    _entries(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))).map(
-        lambda ab: rational_system(*ab)
-    ),
+    _int_systems,
+    _frac_systems,
     st.integers(1, 4).map(generic_system),
     _large_denominator_systems(),
 )
@@ -357,6 +366,67 @@ def test_solve_raises_the_exported_residual_error(monkeypatch):
     with pytest.raises(ResidualError, match="residual"):
         solve(rational_system([[1, 1], [1, -1]], [3, 1]))
     assert "ResidualError" in cramerkit.__all__
+
+
+@pytest.mark.parametrize("fault", SOLVE_FAULTS, ids=lambda f: f.__name__)
+def test_solve_postcondition_catches_each_fault(monkeypatch, fault):
+    # a scaling fault in _ring_rows, X_0 off by one, and one quotient built
+    # wrong while every X_j is right
+    sys = rational_system(SOLVE_FAULT_ROWS, SOLVE_FAULT_RHS)
+    assert solve(sys).quotients == (2, 1)
+    fault(monkeypatch)
+    with pytest.raises(ResidualError, match="residual"):
+        solve(sys)
+
+
+def _fraction_residual(sys, xs):
+    # solve's postcondition as first written: put the Fraction quotients
+    # X_j / X_0 into every equation
+    if xs[0] == 0:
+        return "singular"
+    quotients = [x / xs[0] for x in xs[1:]]
+    holds = all(
+        sum(a * x for a, x in zip(row, quotients)) == b for row, b in zip(sys.entries, sys.rhs)
+    )
+    return "accept" if holds else "reject"
+
+
+_shifts = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.one_of(st.integers(1, 12), st.sampled_from(_PRIMES)),
+)
+
+
+@settings(max_examples=150)
+@given(st.one_of(_int_systems, _frac_systems, _large_denominator_systems()), st.data())
+def test_integer_postcondition_is_the_fraction_residual(sys, data):
+    # the integer row identity and quotient check accept exactly the
+    # candidates [X_0, ..., X_n] whose Fraction residual is zero: the true
+    # sums, with X_0 negative about half the time, and the same sums with
+    # one X_j shifted
+    xs = all_big_x(sys)
+    if xs[0] > 0 and data.draw(st.booleans(), label="negate row 1"):
+        sys = LinearSystem(
+            (tuple(-a for a in sys.entries[0]), *sys.entries[1:]),
+            (-sys.rhs[0], *sys.rhs[1:]),
+        )
+        xs = all_big_x(sys)
+    j = data.draw(st.integers(0, sys.n), label="j")
+    shifted = [*xs[:j], xs[j] + data.draw(_shifts, label="shift"), *xs[j + 1 :]]
+    for candidate in xs, shifted:
+        try:
+            quotients = cramer._checked_quotients(sys, candidate)
+        except SingularSystemError:
+            outcome = "singular"
+        except ResidualError as exc:
+            assert "residual" in str(exc)
+            outcome = "reject"
+        else:
+            outcome = "accept"
+            assert quotients == tuple(x / candidate[0] for x in candidate[1:])
+        assert outcome == _fraction_residual(sys, candidate)
+    assert _fraction_residual(sys, xs) == ("accept" if xs[0] else "singular")
 
 
 def test_solve_symbolic_returns_unreduced_pairs():
