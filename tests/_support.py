@@ -75,12 +75,13 @@ def quotient_off_by_one(monkeypatch) -> None:
     sees a rational system, and whose first call adds 1 to its numerator.
     """
     leibniz = cramer._leibniz
-    calls = []
+    built = []  # one entry per quotient built
 
     class SkewedFraction(abc.ABC):
         def __new__(cls, numerator, denominator):
-            calls.append(numerator)
-            return Fraction(numerator + (len(calls) == 1), denominator)
+            first = not built
+            built.append(numerator)
+            return Fraction(numerator + first, denominator)
 
     SkewedFraction.register(Fraction)
 
