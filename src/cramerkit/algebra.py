@@ -4,7 +4,7 @@ multivariate polynomials over the commuting symbols a[i,j] and b[i].
 Rationals are ``fractions.Fraction`` (already canonical: reduced, positive
 denominator, zero stored as 0/1).  Polynomials carry arbitrary-precision
 *integer* coefficients; rationals only show up when a polynomial is
-evaluated or two polynomial sums are divided downstream.
+evaluated.
 
 Canonical form
 --------------

@@ -171,19 +171,20 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _check_n(n: int, max_n: int) -> None:
-    # --n below 1 is a usage error; --n above the guard exits 4
-    if n < 1:
-        raise InputError(f"--n must be a positive integer, got {n}")
-    _check_guard(n, max_n)
+def _generic_system(args) -> LinearSystem:
+    # generic_system(--n) after the usage checks, in this order: --n below 1
+    # exits 2, --n above the guard exits 4, --i outside 1..n exits 2
+    if args.n < 1:
+        raise InputError(f"--n must be a positive integer, got {args.n}")
+    _check_guard(args.n, args.max_n)
+    if args.i is not None and not 1 <= args.i <= args.n:
+        raise InputError(f"--i {args.i} outside 1..{args.n}")
+    return generic_system(args.n)
 
 
 def _cmd_verify_identity(args) -> int:
-    _check_n(args.n, args.max_n)
-    if args.i is not None and not 1 <= args.i <= args.n:
-        raise InputError(f"--i {args.i} outside 1..{args.n}")
+    system = _generic_system(args)
     indices = [args.i] if args.i is not None else list(range(1, args.n + 1))
-    system = generic_system(args.n)
     xs = all_big_x(system, max_n=args.max_n)
     all_ok = True
     for i in indices:
@@ -200,10 +201,7 @@ def _cmd_verify_identity(args) -> int:
 def _cmd_check_involution(args) -> int:
     from .involution import _walk, certificate_to_dict
 
-    _check_n(args.n, args.max_n)
-    if not 1 <= args.i <= args.n:
-        raise InputError(f"--i {args.i} outside 1..{args.n}")
-    system = generic_system(args.n)
+    system = _generic_system(args)
     f1, f2, cert = _walk(
         system, args.i, max_n=args.max_n, collect=args.emit_certificate is not None
     )

@@ -56,7 +56,7 @@ SYMBOLIC = "symbolic"
 
 
 class SingularSystemError(ArithmeticError):
-    """Numeric solve hit X_0 = 0; the quotient solution does not exist."""
+    """Solve hit X_0 = 0; the quotient solution does not exist."""
 
 
 class ResidualError(RuntimeError):
@@ -202,10 +202,11 @@ def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
 def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
     """Solve the system as the quotients x_j = X_j / X_0.
 
-    Rational mode raises SingularSystemError when X_0 = 0, and checks every
-    equation exactly before returning (the quotient property is enforced as
-    a postcondition, not assumed; see :func:`_checked_quotients`).  Symbolic
-    mode returns the (X_j, X_0) pairs; a generic X_0 is never zero.
+    Both modes raise SingularSystemError when X_0 = 0.  Rational mode checks
+    every equation exactly before returning (the quotient property is
+    enforced as a postcondition, not assumed; see
+    :func:`_checked_quotients`).  Symbolic mode returns the (X_j, X_0)
+    pairs; a generic X_0 is never zero.
 
     >>> sol = solve(rational_system([["1/2", "1/3"], ["1/4", "-1/5"]], ["1", "1/6"]))
     >>> sol.quotients
@@ -215,6 +216,8 @@ def solve(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> Solution:
     """
     xs = all_big_x(sys, max_n=max_n)
     x0 = xs[0]
+    if x0 == 0:
+        raise SingularSystemError("singular system: X_0 = 0")
     numerators = tuple(xs[1:])
     if sys.mode == SYMBOLIC:
         return Solution(numerators, x0, tuple((xj, x0) for xj in numerators))

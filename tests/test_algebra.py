@@ -278,6 +278,12 @@ def test_int_coercion_in_operators():
     assert p - 0 == p
     assert 0 - p == -p
     assert p + 2 == p + Polynomial.constant(2)
+    # a foreign operand is NotImplemented on both sides, so Python raises
+    for other in (1.5, Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((p, other), (other, p)):
+                with pytest.raises(TypeError):
+                    op(left, right)
 
 
 def test_constants_hash_like_the_ints_they_equal():
@@ -329,6 +335,8 @@ def test_render_constants_and_zero():
     assert Polynomial.constant(7).render() == "7"
     assert Polynomial.constant(-7).render() == "-7"
     assert (term(1, A11) + 5).render() == "a[1,1] + 5"
+    assert repr(term(1, A11) + 5) == "Polynomial(a[1,1] + 5)"
+    assert not Polynomial.zero() and Polynomial.constant(-7)
 
 
 def test_render_exponents():

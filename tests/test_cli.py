@@ -937,6 +937,28 @@ def test_each_entry_point_loads_only_what_it_runs(tmp_path, case, loaded):
     assert (proc.returncode, proc.stdout) == (0, loaded + "\n"), proc.stderr
 
 
+def test_a_bare_import_loads_no_submodule():
+    # each public name loads its module on first use: the package alone
+    # loads none, dir() still lists every name and submodule, and a name
+    # loads its own module and what that module imports, no more
+    code = (
+        "import sys, cramerkit\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('cramerkit.'))\n"
+        "print(loaded())\n"
+        "print(sorted({*cramerkit.__all__, 'algebra', 'cramer', 'involution', 'oracle',"
+        " 'perm'} - set(dir(cramerkit))))\n"
+        "cramerkit.solve\n"
+        "print(loaded())"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    loaded = "['cramerkit.algebra', 'cramerkit.cramer', 'cramerkit.perm']"
+    assert (proc.returncode, proc.stdout) == (0, f"[]\n[]\n{loaded}\n"), proc.stderr
+
+
 def test_package_namespace_is_whole_with_lazy_names():
     # every public name is its defining module's object, listed by dir(),
     # and an unknown name is an AttributeError like any module's

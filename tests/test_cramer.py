@@ -92,6 +92,8 @@ def test_weight_errors():
     p3 = make_permutation([1, 2, 3])
     with pytest.raises(ValueError):
         weight_w0(gs, p3)
+    with pytest.raises(ValueError, match="permutation size 3 != system size 2"):
+        weight_wj(gs, 1, p3)
     with pytest.raises(ValueError):
         weight_wj(gs, 0, make_permutation([1, 2]))
     with pytest.raises(ValueError):
@@ -322,8 +324,14 @@ def test_solve_1x1():
 
 
 def test_solve_singular():
-    with pytest.raises(SingularSystemError):
-        solve(rational_system([[1, 1], [1, 1]], [1, 2]))
+    # a zero X_0 is refused in both modes, with one message
+    p, q = poly((1, mono(A(1, 1)))), poly((1, mono(B(1))))
+    for sys in (
+        rational_system([[1, 1], [1, 1]], [1, 2]),
+        LinearSystem(((p, p), (p, p)), (q, q)),
+    ):
+        with pytest.raises(SingularSystemError, match=r"^singular system: X_0 = 0$"):
+            solve(sys)
 
 
 def test_solve_quotient_times_denominator():

@@ -137,6 +137,9 @@ def test_weight_W_range():
 def test_is_good_examples():
     assert is_good(1, fel(1, [1, 2]))
     assert not is_good(1, fel(2, [1, 2]))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=rf"i={i} outside 1\.\.2"):
+            is_good(i, fel(1, [1, 2]))
 
 
 def test_is_good_identity_permutation():
@@ -203,6 +206,8 @@ def test_check_fact1_n1():
     assert report.ok
     assert report.good_count == 1
     assert report.good_sum == Polynomial({mono(A(1, 1), B(1)): 1})
+    with pytest.raises(ValueError, match=r"i=2 outside 1\.\.1"):
+        check_fact1(generic_system(1), 2)
 
 
 def test_fact1_substitution_elementwise():

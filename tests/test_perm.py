@@ -36,6 +36,9 @@ def test_make_permutation_accepts_valid():
     p = make_permutation([5, 1, 4, 2, 3])
     assert p.n == 5
     assert p.values == (5, 1, 4, 2, 3)
+    assert str(p) == "51423"
+    # from n = 10 a value has two digits, so the values are comma-joined
+    assert str(make_permutation([10, *range(1, 10)])) == "10,1,2,3,4,5,6,7,8,9"
 
 
 def test_make_permutation_single():
