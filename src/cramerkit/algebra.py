@@ -33,7 +33,12 @@ Canonical form
   smallest symbol on, so at the first difference a present symbol beats
   an absent one.  The direction is a convention; what matters is that it
   is fixed and independent of the intern order, so rendered output is
-  bit-stable and can be compared as strings.
+  bit-stable and can be compared as strings.  Terms are sorted on their
+  packed keys' bytes.  When a polynomial's symbols were interned in symbol
+  order, those bytes compare as the dense vectors do, since an absent
+  symbol's byte is 0 in every term; otherwise the sort picks the present
+  symbols' bytes out in symbol order.  This is checked per polynomial, so
+  no output depends on what the process interned before.
 
 Rendering: ``-3*a[1,2]*a[2,1]*b[2]`` style -- integer coefficient (omitted
 when +/-1 on a non-constant monomial), symbols joined by ``*`` in symbol
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import compress
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -306,11 +312,7 @@ class Polynomial:
         if len(small) == 1:
             # adding one monomial is injective: no keys merge, none cancel
             ((m2, c2),) = small.items()
-            if len(big) == 1:
-                ((m, c),) = big.items()
-                prod = {m + m2: c * c2}
-            else:
-                prod = {m + m2: c * c2 for m, c in big.items()}
+            prod = {m + m2: c * c2 for m, c in big.items()}
         else:
             prod = {}
             get = prod.get
@@ -353,38 +355,34 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _ordered(self) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
-        # The indices of the symbols present, in symbol order, and each
-        # term as (its exponents over those symbols, coefficient), leading
-        # term first: the dense exponent vectors sort as tuples.
-        terms = self._terms
-        if not terms:
-            return [], []
+    def _ordered(self) -> tuple[list[int], list[tuple[bytes, int]]]:
+        # The indices of the symbols present, in symbol order, and each term
+        # as (its packed key's bytes, coefficient), leading term first.  When
+        # the present symbols were interned in symbol order, the bytes sort
+        # as the dense exponent vectors do, since an absent symbol's byte is
+        # 0 in every row; otherwise the sort key picks the present bytes out
+        # in symbol order.  So the order never depends on the intern order.
         union = 0
-        for m in terms:
+        for m in self._terms:
             union |= m
         b = _bytes(union)
-        present = [k for k, e in enumerate(b) if e]
-        present.sort(key=_SYMBOLS.__getitem__)
-        if len(terms) == 1:  # the union is the one monomial
-            (c,) = terms.values()
-            return present, [(tuple([b[k] for k in present]), c)]
-        if len(present) == 1:
-            (k,) = present
-            dense = lambda b: (b[k],)  # noqa: E731
-        else:
-            dense = itemgetter(*present)
         width = len(b)
-        rows = [(dense(m.to_bytes(width, "little")), c) for m, c in terms.items()]
-        rows.sort(reverse=True)
+        present = sorted(compress(range(width), b), key=_SYMBOLS.__getitem__)
+        rows = [(m.to_bytes(width, "little"), c) for m, c in self._terms.items()]
+        if present == sorted(present):
+            key = None
+        else:  # two or more symbols, so the picked exponents are a tuple
+            pick = itemgetter(*present)
+            key = lambda row: pick(row[0])  # noqa: E731
+        rows.sort(key=key, reverse=True)
         return present, rows
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order, leading monomial first."""
         present, rows = self._ordered()
-        syms = [_SYMBOLS[k] for k in present]
+        syms = [(k, _SYMBOLS[k]) for k in present]
         return [
-            (tuple((s, e) for s, e in zip(syms, exps) if e), c) for exps, c in rows
+            (tuple((s, raw[k]) for k, s in syms if raw[k]), c) for raw, c in rows
         ]
 
     def symbols(self) -> set[Symbol]:
@@ -415,13 +413,13 @@ class Polynomial:
         present, rows = self._ordered()
         if not rows:
             return "0"
-        names = [_NAMES[k] for k in present]
+        names = [(k, _NAMES[k]) for k in present]
         pieces = []
-        for exps, coeff in rows:
+        for raw, coeff in rows:
             if pieces:
                 pieces.append(" + " if coeff > 0 else " - ")
                 coeff = abs(coeff)
-            syms = [s if e == 1 else f"{s}^{e}" for s, e in zip(names, exps) if e]
+            syms = [s if e == 1 else f"{s}^{e}" for k, s in names if (e := raw[k])]
             pieces.append(_render_monomial(syms, coeff))
         return "".join(pieces)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,6 +39,7 @@ from .cramer import (
     LinearSystem,
     ResidualError,
     SingularSystemError,
+    _RATIONAL_RE,
     _identity_sides,
     all_big_x,
     big_x,
@@ -58,9 +58,6 @@ EXIT_GUARD = 4
 
 class InputError(ValueError):
     """The input document (or a usage combination) is malformed."""
-
-
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class InputDocument(NamedTuple):

@@ -43,6 +43,7 @@ the cross-check against the usual orientation.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cache, reduce
 from operator import mul
@@ -117,7 +118,10 @@ def rational_system(
     """Build a numeric system, coercing ints / "p/q" strings to Fractions.
 
     Any other entry, a float or a bool among them, raises ``TypeError``:
-    ``Fraction(0.1)`` would keep the float's binary value, not 1/10.
+    ``Fraction(0.1)`` would keep the float's binary value, not 1/10.  A
+    string must be an optionally signed integer or ``p/q`` of such digits,
+    the CLI's grammar; any other, ``"0.5"`` or ``"1e3"`` say, raises
+    ``ValueError``.
     """
     return LinearSystem(
         tuple(tuple(_exact(x) for x in row) for row in rows),
@@ -125,9 +129,15 @@ def rational_system(
     )
 
 
+#: An exact rational string: optional sign, digits, optional "/" digits.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _exact(x: Union[int, str, Fraction]) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
         raise TypeError(f"entries must be int, str or Fraction, got {x!r}")
+    if isinstance(x, str) and not _RATIONAL_RE.fullmatch(x):
+        raise ValueError(f"not an exact rational string: {x!r}")
     return Fraction(x)
 
 

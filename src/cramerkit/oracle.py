@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import Scalar
 from .cramer import RATIONAL, LinearSystem, SingularSystemError
-from .perm import SizeLimitError
+from .perm import _check_guard
 
 #: First-row cofactor expansion visits n! products; past this it is no
 #: longer a sane oracle.
@@ -96,10 +96,7 @@ def cofactor_det(sys: LinearSystem) -> Scalar:
 
     Guarded at n <= 7: the recursion touches n! products.
     """
-    if sys.n > COFACTOR_MAX_N:
-        raise SizeLimitError(
-            f"cofactor expansion guarded at n <= {COFACTOR_MAX_N}, got n={sys.n}"
-        )
+    _check_guard(sys.n, COFACTOR_MAX_N)
     return _cofactor(list(sys.entries))
 
 

@@ -13,7 +13,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cramerkit import all_big_x, build_certificate, certificate_to_dict, generic_system
@@ -437,18 +437,43 @@ def test_evaluate_respects_mul(p, q, assignment):
 
 # -- packed monomials against a dense reference --------------------------------
 # The reference keeps a polynomial as {dense exponent vector over REF_SYMBOLS,
-# in symbol order: coefficient}.  No other test uses row 50, and its symbols
-# are interned here in reverse symbol order, so the packed order of the
-# reference symbols differs from their symbol order.
+# in symbol order: coefficient}.  No other test uses rows 50 and 51.  Row 50's
+# symbols are interned here in reverse symbol order, so its terms sort on the
+# bytes picked out in symbol order; row 51's are interned in symbol order, so
+# its terms sort on their keys' bytes as they are.  The examples pin both
+# paths in every process, whatever the test order and the draws.
 
 ROW_50 = [a_symbol(50, 1), a_symbol(50, 2), b_symbol(50)]
-for _s in reversed(ROW_50):
+ROW_51 = [a_symbol(51, 1), a_symbol(51, 2), b_symbol(51)]
+for _s in [*reversed(ROW_50), *ROW_51]:
     Polynomial.from_symbol(_s)
-REF_SYMBOLS = sorted([A11, A12, A21, A22, B1, B2, *ROW_50])
+REF_SYMBOLS = sorted([A11, A12, A21, A22, B1, B2, *ROW_50, *ROW_51])
 
 dense_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * len(REF_SYMBOLS)), coefficients, max_size=6
 )
+
+
+def dense(exponents: dict) -> tuple:
+    # the dense exponent vector of a {symbol: exponent} map
+    return tuple(exponents.get(s, 0) for s in REF_SYMBOLS)
+
+
+def row_cases(row: list) -> list:
+    # a one-term, a one-symbol, a constant and the zero polynomial over row,
+    # and two terms that row 50's intern order would list the other way round
+    first, second, third = row
+    return [
+        {dense({first: 2, second: 1, third: 3}): -5},
+        {dense({second: 3}): 4, dense({second: 1}): -1},
+        {dense({}): 7},
+        {},
+        {dense({first: 1}): 1, dense({third: 2}): 3},
+    ]
+
+
+ONE = {dense({}): 1}
+ROW_CASES = row_cases(ROW_50) + row_cases(ROW_51)
 
 
 def from_dense(ref: dict) -> Polynomial:
@@ -484,6 +509,14 @@ def dense_render(ref: dict) -> str:
     return text or "0"
 
 
+def with_row_cases(test):
+    # each row case as x, with y = 1, so that p * q is p again
+    for case in ROW_CASES:
+        test = example(case, ONE)(test)
+    return test
+
+
+@with_row_cases
 @given(dense_polys, dense_polys)
 def test_packed_arithmetic_matches_a_dense_reference(x, y):
     p, q = from_dense(x), from_dense(y)
@@ -508,6 +541,14 @@ def test_packed_arithmetic_matches_a_dense_reference(x, y):
         dense_terms(product), dense_render(product)
     )
     assert (p * q).symbols() == {s for mono, _ in dense_terms(product) for s, _ in mono}
+
+
+def test_the_reference_rows_take_both_sort_paths():
+    # the one-term case of each row: row 50's symbols are out of intern
+    # order, row 51's in order
+    for row, in_order in ((ROW_50, False), (ROW_51, True)):
+        present, _ = from_dense(row_cases(row)[0])._ordered()
+        assert len(present) == 3 and (present == sorted(present)) is in_order
 
 
 def test_product_above_the_exponent_ceiling_raises():
@@ -616,23 +657,25 @@ def test_copy_and_deepcopy_keep_the_value():
 
 
 def test_intern_order_does_not_change_any_output():
-    # a fresh process interns every n = 3 symbol in reverse symbol order
-    # before building anything; its renderings and certificate are the same
+    # a fresh process interns every n = 5 symbol in reverse symbol order
+    # before building anything, so every polynomial with two or more symbols
+    # takes the picked-bytes sort; its 120-term sums and certificate are the
+    # same as this process's
     code = (
         "import json\n"
         "from cramerkit import algebra, all_big_x, build_certificate, "
         "certificate_to_dict, generic_system\n"
         "assert not algebra._SYMBOLS, 'symbols interned at import'\n"
-        "syms = [algebra.a_symbol(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]\n"
-        "syms += [algebra.b_symbol(i) for i in (1, 2, 3)]\n"
+        "syms = [algebra.a_symbol(i, j) for i in range(1, 6) for j in range(1, 6)]\n"
+        "syms += [algebra.b_symbol(i) for i in range(1, 6)]\n"
         "for s in sorted(syms, reverse=True):\n"
         "    algebra.Polynomial.from_symbol(s)\n"
         "assert algebra._SYMBOLS == sorted(syms, reverse=True)\n"
-        "g = generic_system(3)\n"
+        "g = generic_system(5)\n"
         "print('\\n'.join(x.render() for x in all_big_x(g)))\n"
         "print(json.dumps(certificate_to_dict(build_certificate(g, 1)), indent=2))\n"
     )
-    g = generic_system(3)
+    g = generic_system(5)
     expected = "\n".join(x.render() for x in all_big_x(g)) + "\n"
     expected += json.dumps(certificate_to_dict(build_certificate(g, 1)), indent=2) + "\n"
     assert run_python(code).decode() == expected

@@ -509,13 +509,19 @@ def test_det_bareiss_on_symbolic_is_input_error(tmp_path, capsys):
 
 
 def test_det_cofactor_guard(tmp_path, capsys):
+    # the rational document reaches cofactor_det's guard, the symbolic one
+    # the CLI's check before the system is built: one condition, one message
     n = 8
-    doc = rational_doc(
+    rational = rational_doc(
         [[1 if i == j else 0 for j in range(n)] for i in range(n)], [0] * n
     )
-    path = write_doc(tmp_path, "d.json", doc)
-    code, _, _ = run(capsys, "det", "--input", path, "--method", "cofactor")
-    assert code == EXIT_GUARD
+    errors = []
+    for name, doc in (("r.json", rational), ("s.json", {"n": n, "mode": "symbolic"})):
+        path = write_doc(tmp_path, name, doc)
+        code, _, err = run(capsys, "det", "--input", path, "--method", "cofactor")
+        assert code == EXIT_GUARD
+        errors.append(err)
+    assert errors[0] == errors[1] == "error: n=8 outside the enumeration guard 1..7\n"
 
 
 def test_det_guard_default(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -544,3 +545,12 @@ def test_rational_system_rejects_inexact_entries(rows, rhs, bad):
     # is 1; neither is an exact rational the caller wrote
     with pytest.raises(TypeError, match=f"got {bad}$"):
         rational_system(rows, rhs)
+
+
+@pytest.mark.parametrize("bad", ["0.5", " 1/2 ", "1_0", "-1E1", "1e3000000"])
+def test_rational_system_rejects_strings_outside_the_grammar(bad):
+    # Fraction reads each of these, the last as a 9,965,785-bit numerator;
+    # the CLI refuses each with exit 2, and rational_system at once
+    message = re.escape(f"not an exact rational string: {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rational_system([[bad]], ["1"])
