@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Fraction
@@ -327,9 +328,7 @@ class Polynomial:
         for m in prod:
             if m & guard:
                 raise _ceiling_error(m)
-        p = _new(Polynomial)
-        p._terms = prod
-        return p
+        return _owned(prod)
 
     __rmul__ = __mul__
 
@@ -362,10 +361,7 @@ class Polynomial:
         # as the dense exponent vectors do, since an absent symbol's byte is
         # 0 in every row; otherwise the sort key picks the present bytes out
         # in symbol order.  So the order never depends on the intern order.
-        union = 0
-        for m in self._terms:
-            union |= m
-        b = _bytes(union)
+        b = _bytes(reduce(or_, self._terms, 0))
         width = len(b)
         present = sorted(compress(range(width), b), key=_SYMBOLS.__getitem__)
         rows = [(m.to_bytes(width, "little"), c) for m, c in self._terms.items()]
@@ -386,7 +382,7 @@ class Polynomial:
         ]
 
     def symbols(self) -> set[Symbol]:
-        return {_SYMBOLS[k] for k in self._ordered()[0]}
+        return set(compress(_SYMBOLS, _bytes(reduce(or_, self._terms, 0))))
 
     def evaluate(self, assignment: Mapping[Symbol, Fraction | int]) -> Fraction:
         """Substitute an exact rational for every symbol.

@@ -9,7 +9,9 @@ Input documents are JSON::
 
 Rational entries cross the boundary as strings ("p/q" or an integer
 literal; plain JSON integers are also accepted) so values stay exact
-bit-for-bit -- JSON floats are rejected outright.  A document with
+bit-for-bit -- JSON floats are rejected outright.  The entries are read by
+``cramer.rational_system``, the package's one reader of exact rationals,
+after the document's shape is checked here.  A document with
 ``"mode": "symbolic"`` omits A and b and denotes the generic system on
 symbols a[i,j] / b[i].  ``validate-certificate`` reads a certificate
 written by ``check-involution --emit-certificate`` and audits it.
@@ -39,7 +41,6 @@ from .cramer import (
     LinearSystem,
     ResidualError,
     SingularSystemError,
-    _RATIONAL_RE,
     _identity_sides,
     all_big_x,
     big_x,
@@ -71,7 +72,7 @@ class InputDocument(NamedTuple):
     def to_system(self) -> LinearSystem:
         if self.mode == SYMBOLIC:
             return generic_system(self.n)
-        return rational_system(self.a_rows, self.b)
+        return LinearSystem(self.a_rows, self.b)
 
 
 def parse_input_document(data: object) -> InputDocument:
@@ -95,37 +96,19 @@ def parse_input_document(data: object) -> InputDocument:
 
     if "A" not in data or "b" not in data:
         raise InputError("rational documents need both A and b")
-    a = data["A"]
+    a, b = data["A"], data["b"]
     if not isinstance(a, list) or len(a) != n:
         raise InputError(f"A must be a list of {n} rows")
-    rows = []
     for r, row in enumerate(a, start=1):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"row {r} of A must have {n} entries")
-        rows.append(tuple(_parse_rational(x) for x in row))
-    b = data["b"]
     if not isinstance(b, list) or len(b) != n:
         raise InputError(f"b must be a list of {n} entries")
-    return InputDocument(
-        n=n, mode=mode, a_rows=tuple(rows), b=tuple(_parse_rational(x) for x in b)
-    )
-
-
-def _parse_rational(value: object) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"not an exact rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value):
-            raise InputError(f"not an exact rational string: {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise InputError(f"zero denominator in {value!r}") from None
-        except ValueError as exc:  # more digits than int() will convert
-            raise InputError(f"rational string too long: {exc}") from None
-    raise InputError(f"rational entries must be strings or integers, got {value!r}")
+    try:  # the shape is sound, so only an entry can be at fault
+        system = rational_system(a, b)
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+    return InputDocument(n=n, mode=mode, a_rows=system.entries, b=system.rhs)
 
 
 def _load_json(path: str) -> object:

@@ -117,11 +117,13 @@ def rational_system(
 ) -> LinearSystem:
     """Build a numeric system, coercing ints / "p/q" strings to Fractions.
 
-    Any other entry, a float or a bool among them, raises ``TypeError``:
-    ``Fraction(0.1)`` would keep the float's binary value, not 1/10.  A
-    string must be an optionally signed integer or ``p/q`` of such digits,
-    the CLI's grammar; any other, ``"0.5"`` or ``"1e3"`` say, raises
-    ``ValueError``.
+    This is the one reader of exact rationals: the CLI builds a document's
+    system with it too.  Any other entry, a float or a bool among them,
+    raises ``TypeError``: ``Fraction(0.1)`` would keep the float's binary
+    value, not 1/10.  A string must be an optionally signed integer or
+    ``p/q`` of such digits; any other, ``"0.5"`` or ``"1e3"`` say, raises
+    ``ValueError``, as do a zero denominator (``"1/0"``) and more digits
+    than ``int()`` converts.
     """
     return LinearSystem(
         tuple(tuple(_exact(x) for x in row) for row in rows),
@@ -135,10 +137,15 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def _exact(x: Union[int, str, Fraction]) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
-        raise TypeError(f"entries must be int, str or Fraction, got {x!r}")
+        raise TypeError(f"rational entries must be strings or integers, got {x!r}")
     if isinstance(x, str) and not _RATIONAL_RE.fullmatch(x):
         raise ValueError(f"not an exact rational string: {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+    except ValueError as exc:  # a string of more digits than int() converts
+        raise ValueError(f"rational string too long: {exc}") from None
 
 
 @cache

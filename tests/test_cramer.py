@@ -554,3 +554,15 @@ def test_rational_system_rejects_strings_outside_the_grammar(bad):
     message = re.escape(f"not an exact rational string: {bad!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         rational_system([[bad]], ["1"])
+
+
+def test_rational_system_rejects_zero_denominators_and_overlong_strings():
+    # Fraction("1/0") raises ZeroDivisionError, and int() refuses more than
+    # 4300 digits by default; both reach the caller as ValueError
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        rational_system([["1/0"]], ["1"])
+    with pytest.raises(ValueError) as int_refusal:
+        int("1" * 5000)
+    with pytest.raises(ValueError) as caught:
+        rational_system([["1" * 5000]], ["1"])
+    assert str(caught.value) == f"rational string too long: {int_refusal.value}"
