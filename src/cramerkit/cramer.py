@@ -20,11 +20,13 @@ extended by b is the head of X_j, and the tail over columns j+1..n holds
 the other rows: X_j = (-1)^(j(n-j)) sum_M head[M] * tail[rest], with the
 row signs of the split carried by the tails' entries (row r's times
 (-1)^r) and (-1)^(j(n-j)) by b's.  That is O(n 2^n) multiplications for
-all n+1 sums, where summing each separately takes O(n n!).  The tails not
-yet joined are held, at most 2^n - 1 partial sums; X_0 alone builds none.
-The column step visits only each row set's free rows, which
-``_free_rows(n)`` lists once per size, with each row's sign folded into
-its index: n 2^(n-1) bytes of indices, about 3.2 MB at n = 16.
+all n+1 sums, where summing each separately takes O(n n!).  Each sweep
+keeps its partial sums in a list of 2^n slots indexed by the bitmask of
+the rows used, None in a slot not filled.  The tails not yet joined are
+held, up to n - 1 lists; X_0 alone builds none.  The column step visits
+the masks of one size, which ``_by_size(n)`` lists once per size, and only
+each mask's free rows, which ``_free_rows(n)`` lists with each row's sign
+folded into its index: n 2^(n-1) bytes of indices, about 3.2 MB at n = 16.
 A rational system is summed over Python ints: each row of [A | b] is
 scaled by the lcm of its denominators, which scales every X_j by the same
 product D, and each sum is divided by D once at the end.  The F_n checker
@@ -328,23 +330,27 @@ def _leibniz(sys: LinearSystem, every_j: bool) -> list[Scalar]:
     # The split adds sum(M) - C(j, 2) inversions and the row signs give
     # sum(M) + C(n, 2); C(j, 2) + C(n - j, 2) + C(n, 2) = j(n - j) (mod 2),
     # so b's entries in X_j's head carry (-1)^(j(n-j)) and no term a sign.
+    # prefix, head and each tail are lists of 2^n slots indexed by used-row
+    # mask, filled at the masks with as many bits as columns filled.
     rows, zero, unscale = _ring_rows(sys)
     *cols, rhs = zip(*rows)
     n = sys.n
     full = (1 << n) - 1
-    tails = [{0: 1}]  # columns n-m+1..n of A, filled from column n, by used-row mask
+    masks = _by_size(n)
+    unit = [1] + [None] * full  # no column filled, no row used
+    tails = [unit]  # columns n-m+1..n of A, filled from column n
     for m in range(1, n if every_j else 0):
         col = [-x if r & 1 else x for r, x in enumerate(cols[n - m])]
-        tails.append(_extend(tails[-1], col))
+        tails.append(_extend(tails[-1], col, masks[m - 1]))
     xs = []
     neg_rhs = [-x for x in rhs]
-    prefix = {0: 1}  # columns 1..k of A, by used-row mask
+    prefix = unit  # columns 1..k of A
     for k in range(n):
         if every_j:
             tail = tails.pop()  # the longest left, over columns k+2..n
-            head = _extend(prefix, (rhs, neg_rhs)[(k + 1) * (n - k - 1) & 1])
-            xs.append(_sum((h * tail[full ^ used] for used, h in head.items()), zero))
-        prefix = _extend(prefix, cols[k])
+            head = _extend(prefix, (rhs, neg_rhs)[(k + 1) * (n - k - 1) & 1], masks[k])
+            xs.append(_sum((head[used] * tail[full ^ used] for used in masks[k + 1]), zero))
+        prefix = _extend(prefix, cols[k], masks[k])
     return [unscale(x) for x in (prefix[full], *xs)]
 
 
@@ -366,25 +372,37 @@ def _ring_rows(sys: LinearSystem) -> tuple[list[tuple], Scalar, Callable[[Scalar
     return rows, 0, lambda x: Fraction(x, d)
 
 
-def _extend(partial: dict, col: Sequence[Scalar]) -> dict:
-    # One column step: partial maps the bitmask of rows used by the columns
-    # filled so far to the signed sum of their products; put each free row
-    # in the next column.  That adds one inversion per used row above it,
-    # and an odd count takes the negated entry: _free_rows lists each
-    # mask's free rows with that parity folded into an index of signed.
+def _extend(partial: list, col: Sequence[Scalar], masks: Sequence[int]) -> list:
+    # One column step: partial[used] holds the signed sum of the products
+    # of the columns filled so far on the rows of the bitmask used, for each
+    # used in masks, and None in every other slot; put each free row in the
+    # next column.  That adds one inversion per used row above it, and an
+    # odd count takes the negated entry: _free_rows lists each mask's free
+    # rows with that parity folded into an index of signed.  A slot's first
+    # product is stored as it is, since 0 + p copies a polynomial.
     n = len(col)
     free = _free_rows(n)
     bits = [1 << r for r in range(n)] * 2  # row r's mask bit, at index r and r + n
     signed = [*col, *(-x for x in col)]
-    grown: dict = {}
-    get = grown.get
-    for used, acc in partial.items():
+    grown = [None] * (1 << n)
+    for used in masks:
+        acc = partial[used]
         for r in free[used]:
             key = used | bits[r]
             term = acc * signed[r]
-            old = get(key)
+            old = grown[key]
             grown[key] = term if old is None else old + term
     return grown
+
+
+@cache
+def _by_size(n: int) -> tuple[tuple[int, ...], ...]:
+    # masks[k]: the masks below 2^n with k bits set, in ascending order;
+    # tuples, since every caller shares the cached table
+    masks: list[list[int]] = [[] for _ in range(n + 1)]
+    for used in range(1 << n):
+        masks[used.bit_count()].append(used)
+    return tuple(map(tuple, masks))
 
 
 @cache

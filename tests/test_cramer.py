@@ -263,6 +263,47 @@ def test_big_x_is_bareiss_where_signed_indices_reach_2n_minus_1(n):
         assert xs[j] == bareiss_det(rational_system(list(zip(*cols)), sys.rhs))
 
 
+@st.composite
+def _sparse_int_systems(draw):
+    # mostly zero entries, and rows of A (or of [A | b]) that copy an earlier
+    # row, so that many of the kernel's partial sums cancel to 0
+    n = draw(st.integers(1, 9))
+    entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2))
+    rows = []
+    for i in range(n):
+        row = draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
+        if i and draw(st.booleans()):
+            copied = rows[draw(st.integers(0, i - 1))]
+            row = copied[:n] + row[n:] if draw(st.booleans()) else list(copied)
+        rows.append(row)
+    return rational_system([row[:n] for row in rows], [row[n] for row in rows])
+
+
+@settings(max_examples=60)
+@given(_sparse_int_systems())
+def test_big_x_is_bareiss_on_sparse_systems_with_repeated_rows(sys):
+    # a zero product still fills its slot: a step that skipped it would
+    # leave a None slot for a later step or a join to read
+    n = sys.n
+    xs = all_big_x(sys, max_n=9)
+    for j in range(n + 1):
+        cols = [list(col) for col in zip(*sys.entries)]
+        if j:
+            cols[j - 1] = list(sys.rhs)
+        expected = bareiss_det(rational_system(list(zip(*cols)), sys.rhs))
+        assert xs[j] == big_x(sys, j, max_n=9) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_masks_by_size_table_is_its_definition(n):
+    # masks[k]: the masks below 2^n with k bits set, in ascending order, so
+    # every mask appears exactly once, under its popcount
+    masks = cramer._by_size(n)
+    assert masks == tuple(
+        tuple(used for used in range(1 << n) if used.bit_count() == k) for k in range(n + 1)
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_free_rows_table_is_its_definition(n):
     # free[used]: the rows not in used, from row n - 1 down, each as r, or as
@@ -287,9 +328,10 @@ def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
     extend = cramer._extend
     steps = []
 
-    def checked(partial, col):
-        grown = extend(partial, col)
-        steps.append({type(x) for x in (*partial.values(), *col, *grown.values())})
+    def checked(partial, col, masks):
+        grown = extend(partial, col, masks)
+        filled = [x for x in (*partial, *grown) if x is not None]
+        steps.append({type(x) for x in (*filled, *col)})
         return grown
 
     monkeypatch.setattr(cramer, "_extend", checked)
