@@ -23,6 +23,8 @@ det, so the other subcommands start without compiling either.
 Exit codes: 0 success / all checks pass, 1 a check failed or output could
 not be written, 2 input or usage error (an n below 1 among them), 3
 singular system, 4 size guard violation (n > max-n; override with --max-n).
+``main`` maps each error that ends a subcommand to its code by one table,
+``_EXIT_CODES``, which sits beside the codes themselves.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import render_scalar
@@ -50,29 +51,39 @@ from .cramer import (
 )
 from .perm import MAX_N_DEFAULT, SizeLimitError, _check_guard
 
+
+class InputError(ValueError):
+    """The input document (or a usage combination) is malformed."""
+
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 EXIT_GUARD = 4
 
-
-class InputError(ValueError):
-    """The input document (or a usage combination) is malformed."""
+# checked in this order: the first class the error is an instance of decides
+_EXIT_CODES = {
+    InputError: EXIT_INPUT,
+    SingularSystemError: EXIT_SINGULAR,
+    SizeLimitError: EXIT_GUARD,
+    ResidualError: EXIT_FAIL,
+}
 
 
 class InputDocument(NamedTuple):
-    """Parsed form of the JSON input: size, mode, exact entries."""
+    """Parsed JSON input: size, mode, the rational system (None if symbolic)."""
 
     n: int
     mode: str
-    a_rows: tuple[tuple[Fraction, ...], ...] | None
-    b: tuple[Fraction, ...] | None
+    system: LinearSystem | None
 
-    def to_system(self) -> LinearSystem:
-        if self.mode == SYMBOLIC:
-            return generic_system(self.n)
-        return LinearSystem(self.a_rows, self.b)
+    def to_system(self, max_n: int) -> LinearSystem:
+        """The document's system; generic_system(n) only once n passes the guard."""
+        if self.system is not None:
+            return self.system
+        _check_guard(self.n, max_n)
+        return generic_system(self.n)
 
 
 def parse_input_document(data: object) -> InputDocument:
@@ -92,7 +103,7 @@ def parse_input_document(data: object) -> InputDocument:
     if mode == SYMBOLIC:
         if "A" in data or "b" in data:
             raise InputError("symbolic documents must omit A and b")
-        return InputDocument(n=n, mode=mode, a_rows=None, b=None)
+        return InputDocument(n=n, mode=mode, system=None)
 
     if "A" not in data or "b" not in data:
         raise InputError("rational documents need both A and b")
@@ -105,10 +116,9 @@ def parse_input_document(data: object) -> InputDocument:
     if not isinstance(b, list) or len(b) != n:
         raise InputError(f"b must be a list of {n} entries")
     try:  # the shape is sound, so only an entry can be at fault
-        system = rational_system(a, b)
+        return InputDocument(n=n, mode=mode, system=rational_system(a, b))
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    return InputDocument(n=n, mode=mode, a_rows=system.entries, b=system.rhs)
 
 
 def _load_json(path: str) -> object:
@@ -125,9 +135,7 @@ def _load_json(path: str) -> object:
 
 
 def _cmd_solve(args) -> int:
-    doc = parse_input_document(_load_json(args.input))
-    _check_guard(doc.n, args.max_n)
-    system = doc.to_system()
+    system = parse_input_document(_load_json(args.input)).to_system(args.max_n)
     sol = solve(system, max_n=args.max_n)
     numerators = [render_scalar(x) for x in sol.numerators]
     denominator = render_scalar(sol.denominator)
@@ -227,10 +235,7 @@ def _cmd_det(args) -> int:
     doc = parse_input_document(_load_json(args.input))
     if args.method == "bareiss" and doc.mode != RATIONAL:
         raise InputError("bareiss applies to rational documents only")
-    if doc.mode == SYMBOLIC:
-        limit = COFACTOR_MAX_N if args.method == "cofactor" else args.max_n
-        _check_guard(doc.n, limit)
-    system = doc.to_system()
+    system = doc.to_system(COFACTOR_MAX_N if args.method == "cofactor" else args.max_n)
     methods = {
         "leibniz": lambda: big_x(system, 0, max_n=args.max_n),
         "cofactor": lambda: cofactor_det(system),
@@ -337,18 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except ResidualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

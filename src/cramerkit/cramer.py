@@ -139,7 +139,9 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def _exact(x: Union[int, str, Fraction]) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
-        raise TypeError(f"rational entries must be strings or integers, got {x!r}")
+        raise TypeError(
+            f"rational entries must be strings, integers or Fractions, got {x!r}"
+        )
     if isinstance(x, str) and not _RATIONAL_RE.fullmatch(x):
         raise ValueError(f"not an exact rational string: {x!r}")
     try:

@@ -101,19 +101,10 @@ def cofactor_det(sys: LinearSystem) -> Scalar:
 
 
 def _cofactor(rows) -> Scalar:
-    n = len(rows)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    first = rows[0]
-    rest = rows[1:]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rest]
-        term = first[j] * _cofactor(minor)
-        if total is None:
-            total = term
-        elif j % 2 == 0:
-            total = total + term
-        else:
-            total = total - term
-    return total
+    first, rest = rows[0], rows[1:]
+    return sum(
+        (-x if j & 1 else x) * _cofactor([row[:j] + row[j + 1 :] for row in rest])
+        for j, x in enumerate(first)
+    )

@@ -67,9 +67,9 @@ def test_parse_accepts_strings_and_ints():
     doc = parse_input_document(
         {"n": 2, "mode": "rational", "A": [["1/2", 2], [-3, "4"]], "b": [0, "5"]}
     )
-    assert doc.a_rows[0][0] == Fraction(1, 2)
-    assert doc.a_rows[1][0] == Fraction(-3)
-    assert doc.b == (Fraction(0), Fraction(5))
+    assert doc.system.entries[0][0] == Fraction(1, 2)
+    assert doc.system.entries[1][0] == Fraction(-3)
+    assert doc.system.rhs == (Fraction(0), Fraction(5))
 
 
 # well-formed documents but for their one entry
@@ -127,7 +127,7 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
 
 def test_symbolic_document_roundtrip():
     doc = parse_input_document({"n": 3, "mode": "symbolic"})
-    assert doc == InputDocument(n=3, mode="symbolic", a_rows=None, b=None)
+    assert doc == InputDocument(n=3, mode="symbolic", system=None)
 
 
 # -- solve -----------------------------------------------------------------------
@@ -533,6 +533,24 @@ def test_det_guard_default(tmp_path, capsys):
     path = write_doc(tmp_path, "d.json", {"n": 10, "mode": "symbolic"})
     code, _, _ = run(capsys, "det", "--input", path)
     assert code == EXIT_GUARD
+
+
+def test_only_a_symbolic_build_is_guarded(tmp_path, capsys):
+    # a rational document is already built, so only its methods' own guards
+    # apply: bareiss has none, leibniz stops at --max-n, cofactor at 7
+    n = 10
+    doc = rational_doc(
+        [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)], [1] * n
+    )
+    path = write_doc(tmp_path, "eye.json", doc)
+    code, out, _ = run(capsys, "det", "--input", path, "--method", "bareiss")
+    assert code == EXIT_OK
+    assert out == f"bareiss: {math.factorial(n)}\n"
+    for method, limit in ((None, 9), ("leibniz", 9), ("cofactor", 7)):
+        argv = ["det", "--input", path] + (["--method", method] if method else [])
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_GUARD and out == "", method
+        assert err == f"error: n={n} outside the enumeration guard 1..{limit}\n"
 
 
 def test_symbolic_guard_before_building_the_system(tmp_path, capsys, monkeypatch):

@@ -178,7 +178,7 @@ TRANSCRIPTS = {
     "solve --input eye10.json": (4, "", "ec539b5f4b9e5bb7"),
     "solve --input frac3.json --max-n 2": (4, "", "c52471956c3e6a34"),
     "solve --input unknown-field.json": (2, "", "f1d6567ef075fb6a"),
-    "solve --input float.json": (2, "", "6439333ddef79e13"),
+    "solve --input float.json": (2, "", "a390f983b027cddd"),
     "solve --input not-json.json": (2, "", "ec7bf203e80d2cd5"),
     "solve --input missing.json": (2, "", "e088467e28c9ab0f"),
     "det --input frac3.json": (0, "108e93bd45437b45", ""),
