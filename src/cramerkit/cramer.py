@@ -14,17 +14,20 @@ column j replaced by b, is the X_0 of that system.  :func:`_leibniz` adds
 the same signed products grouped by the set of rows that fill a run of
 columns (Laplace expansion with memoization); exact arithmetic makes the
 sum independent of that grouping.  X_0 is one forward sweep of a column
-step over columns 1..n; every X_j at once adds a backward sweep over
-columns n down to 2, run first.  The forward prefix over columns 1..j-1
-extended by b is the head of X_j, and the tail over columns j+1..n holds
+step over columns 1..n.  The forward prefix over columns 1..j-1 extended
+by b is the head of X_j, and a backward tail over columns j+1..n holds
 the other rows: X_j = (-1)^(j(n-j)) sum_M head[M] * tail[rest], with the
 row signs of the split carried by the tails' entries (row r's times
-(-1)^r) and (-1)^(j(n-j)) by b's.  That is O(n 2^n) multiplications for
-all n+1 sums, where summing each separately takes O(n n!).  Each sweep
-keeps its partial sums in a list of 2^n slots indexed by the bitmask of
-the rows used, None in a slot not filled.  The tails not yet joined are
-held, up to n - 1 lists; X_0 alone builds none.  The column step visits
-the masks of one size, which ``_by_size(n)`` lists once per size, and only
+(-1)^r) and (-1)^(j(n-j)) by b's.  Every X_j at once visits each mask
+size once: one fused pass over the masks of size k grows the prefix by
+column k+1, X_{k+1}'s head by b and the tail by column n-k, and the last
+size grows only the prefix and X_n's head.  That is O(n 2^n)
+multiplications for all n+1 sums, where summing each separately takes
+O(n n!).  Each partial sum lives in a list of 2^n slots indexed by the
+bitmask of the rows used, None in a slot not filled.  A head or tail is
+freed as soon as its partner exists and X_j is joined, so about n/2 heads
+and n/2 tails wait at once; X_0 alone builds neither.  A step visits the
+masks of one size, which ``_by_size(n)`` lists once per size, and only
 each mask's free rows, which ``_free_rows(n)`` lists with each row's sign
 folded into its index: n 2^(n-1) bytes of indices, about 3.2 MB at n = 16.
 A rational system is summed over Python ints: each row of [A | b] is
@@ -280,7 +283,7 @@ def _checked_quotients(sys: LinearSystem, xs: Sequence[Fraction]) -> tuple[Fract
 
 
 def all_big_x(sys: LinearSystem, max_n: int = MAX_N_DEFAULT) -> list[Scalar]:
-    """[X_0, X_1, ..., X_n], each equal to :func:`big_x`'s, from two shared sweeps."""
+    """[X_0, X_1, ..., X_n], each equal to :func:`big_x`'s, from one shared sweep."""
     _check_guard(sys.n, max_n)
     return _leibniz(sys, True)
 
@@ -323,37 +326,54 @@ def _weight(sys: LinearSystem, values: tuple[int, ...], sgn: int, j: int = 0) ->
 def _leibniz(sys: LinearSystem, every_j: bool) -> list[Scalar]:
     # [X_0], or [X_0, X_1, ..., X_n] with every_j: the sums over S_n of
     # sign(pi) * prod_k cols[k][pi_k], where X_0 takes the columns of A and
-    # X_j puts b in column j.  prefix fills columns 1..k in order; tails[m]
-    # fills the last m columns from column n down, so its sign counts the
-    # C(m, 2) - inv pairs of them that are not inversions, and row r's
-    # entries there carry (-1)^r (rows 0-based).  X_j is the Laplace join of
-    # its head (the prefix over columns 1..j-1, then b) on rows M with
-    # tails[n - j] on the other rows: (-1)^(j(n-j)) sum_M head[M] * tail[rest].
-    # The split adds sum(M) - C(j, 2) inversions and the row signs give
-    # sum(M) + C(n, 2); C(j, 2) + C(n - j, 2) + C(n, 2) = j(n - j) (mod 2),
-    # so b's entries in X_j's head carry (-1)^(j(n-j)) and no term a sign.
-    # prefix, head and each tail are lists of 2^n slots indexed by used-row
-    # mask, filled at the masks with as many bits as columns filled.
+    # X_j puts b in column j.  prefix fills columns 1..k in order; tail fills
+    # the last k columns from column n down, so its sign counts the C(k, 2) -
+    # inv pairs of them that are not inversions, and row r's entries there
+    # carry (-1)^r (rows 0-based).  X_j is the Laplace join of its head (the
+    # prefix over columns 1..j-1, then b) on rows M with the tail over the
+    # last n - j columns on the other rows: (-1)^(j(n-j)) sum_M head[M] *
+    # tail[rest].  The split adds sum(M) - C(j, 2) inversions and the row
+    # signs give sum(M) + C(n, 2); C(j, 2) + C(n - j, 2) + C(n, 2) = j(n - j)
+    # (mod 2), so b's entries in X_j's head carry (-1)^(j(n-j)) and no term a
+    # sign.  prefix, tail and each head are lists of 2^n slots indexed by
+    # used-row mask, filled at the masks with as many bits as columns filled.
+    # Each mask size k is visited once: below k = n - 1 one fused step grows
+    # the prefix by column k+1, X_{k+1}'s head by b and the tail by column
+    # n-k; at k = n - 1 only the prefix and X_n's head grow, since a tail
+    # over all n columns would be X_0 again.  X_j is joined, and its head
+    # and tail freed, as soon as both exist: at step max(j - 1, n - j - 1).
     rows, zero, unscale = _ring_rows(sys)
     *cols, rhs = zip(*rows)
     n = sys.n
     full = (1 << n) - 1
     masks = _by_size(n)
     unit = [1] + [None] * full  # no column filled, no row used
-    tails = [unit]  # columns n-m+1..n of A, filled from column n
-    for m in range(1, n if every_j else 0):
-        col = [-x if r & 1 else x for r, x in enumerate(cols[n - m])]
-        tails.append(_extend(tails[-1], col, masks[m - 1]))
-    xs = []
-    neg_rhs = [-x for x in rhs]
     prefix = unit  # columns 1..k of A
+    if not every_j:
+        for k in range(n):
+            prefix = _extend(prefix, cols[k], masks[k])
+        return [unscale(prefix[full])]
+    neg_rhs = [-x for x in rhs]
+    tail = unit  # columns n-k+1..n of A, filled from column n
+    heads, tails = {}, {n: unit}  # by j: X_j's head, and its tail
+    xs = [None] * (n + 1)  # X_0, ..., X_n, each set once
     for k in range(n):
-        if every_j:
-            tail = tails.pop()  # the longest left, over columns k+2..n
-            head = _extend(prefix, (rhs, neg_rhs)[(k + 1) * (n - k - 1) & 1], masks[k])
-            xs.append(_sum((head[used] * tail[full ^ used] for used in masks[k + 1]), zero))
-        prefix = _extend(prefix, cols[k], masks[k])
-    return [unscale(x) for x in (prefix[full], *xs)]
+        j = k + 1
+        b = (rhs, neg_rhs)[j * (n - j) & 1]
+        if j < n:
+            col = [-x if r & 1 else x for r, x in enumerate(cols[n - j])]
+            prefix, heads[j], tail = _fused_extend(prefix, tail, cols[k], b, col, masks[k])
+            tails[n - j] = tail
+        else:
+            del tail  # tails keeps it until X_1's join; not held through the costliest step
+            heads[j] = _extend(prefix, b, masks[k])
+            prefix = _extend(prefix, cols[k], masks[k])
+        for j in heads.keys() & tails.keys():
+            head, rest = heads.pop(j), tails.pop(j)
+            xs[j] = _sum((head[used] * rest[full ^ used] for used in masks[j]), zero)
+            del head, rest  # not held through the next step
+    xs[0] = prefix[full]
+    return [unscale(x) for x in xs]
 
 
 def _ring_rows(sys: LinearSystem) -> tuple[list[tuple], Scalar, Callable[[Scalar], Scalar]]:
@@ -395,6 +415,42 @@ def _extend(partial: list, col: Sequence[Scalar], masks: Sequence[int]) -> list:
             old = grown[key]
             grown[key] = term if old is None else old + term
     return grown
+
+
+def _fused_extend(
+    prefix: list,
+    tail: list,
+    col: Sequence[Scalar],
+    rhs: Sequence[Scalar],
+    tail_col: Sequence[Scalar],
+    masks: Sequence[int],
+) -> tuple[list, list, list]:
+    # Three column steps in one pass over the same masks: _extend(prefix,
+    # col), _extend(prefix, rhs) and _extend(tail, tail_col), with the same
+    # products, each slot's in the same order.  The three grown lists are
+    # first touched at the same key, so one None check serves all three.
+    n = len(col)
+    free = _free_rows(n)
+    bits = [1 << r for r in range(n)] * 2
+    signed = [*col, *(-x for x in col)]
+    signed_rhs = [*rhs, *(-x for x in rhs)]
+    signed_tail = [*tail_col, *(-x for x in tail_col)]
+    grown, head, grown_tail = [None] * (1 << n), [None] * (1 << n), [None] * (1 << n)
+    for used in masks:
+        acc = prefix[used]
+        acc_tail = tail[used]
+        for r in free[used]:
+            key = used | bits[r]
+            old = grown[key]
+            if old is None:
+                grown[key] = acc * signed[r]
+                head[key] = acc * signed_rhs[r]
+                grown_tail[key] = acc_tail * signed_tail[r]
+            else:
+                grown[key] = old + acc * signed[r]
+                head[key] += acc * signed_rhs[r]
+                grown_tail[key] += acc_tail * signed_tail[r]
+    return grown, head, grown_tail
 
 
 @cache

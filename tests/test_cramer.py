@@ -323,31 +323,39 @@ def test_free_rows_table_is_its_definition(n):
 def test_kernel_sums_integers_and_shares_prefixes(monkeypatch):
     # the rational kernel multiplies ints only (rows scaled by the lcm of
     # their denominators), and all n + 1 sums share their column sweeps:
-    # n forward steps for X_0, one head step per X_j and n - 1 backward
-    # steps for the tails, 11 at n = 4, not (n+1)*n; any one X_j takes n
-    extend = cramer._extend
+    # one fused pass per mask size k < n - 1 grows the prefix, a head and a
+    # tail, and the last column takes one prefix and one head step, 3 fused
+    # passes and 2 steps at n = 4, not 11 steps; any one X_j takes n steps
+    extend, fused_extend = cramer._extend, cramer._fused_extend
     steps = []
 
     def checked(partial, col, masks):
         grown = extend(partial, col, masks)
         filled = [x for x in (*partial, *grown) if x is not None]
-        steps.append({type(x) for x in (*filled, *col)})
+        steps.append(("step", {type(x) for x in (*filled, *col)}))
+        return grown
+
+    def checked_fused(prefix, tail, col, rhs, tail_col, masks):
+        grown = fused_extend(prefix, tail, col, rhs, tail_col, masks)
+        filled = [x for x in (*prefix, *tail, *grown[0], *grown[1], *grown[2]) if x is not None]
+        steps.append(("fused", {type(x) for x in (*filled, *col, *rhs, *tail_col)}))
         return grown
 
     monkeypatch.setattr(cramer, "_extend", checked)
+    monkeypatch.setattr(cramer, "_fused_extend", checked_fused)
     sys = rational_system([["1/2", "2/3"], ["-3/4", "5/7"]], ["1/6", "-4/5"])
     assert solve(sys).quotients == (Fraction(137, 180), Fraction(-77, 240))
-    assert steps and all(kinds == {int} for kinds in steps)
+    assert steps and all(kinds == {int} for _, kinds in steps)
     steps.clear()
     sys = random_fraction_system(random.Random(17), 4)
     all_big_x(sys)
-    assert len(steps) == 4 + 4 + 3
-    assert all(kinds == {int} for kinds in steps)
+    assert [kind for kind, _ in steps] == ["fused"] * 3 + ["step"] * 2
+    assert all(kinds == {int} for _, kinds in steps)
     for j in range(5):
         steps.clear()
         big_x(sys, j)
-        assert len(steps) == 4
-        assert all(kinds == {int} for kinds in steps)
+        assert [kind for kind, _ in steps] == ["step"] * 4
+        assert all(kinds == {int} for _, kinds in steps)
 
 
 # -- solving -------------------------------------------------------------------
