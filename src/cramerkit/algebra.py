@@ -39,6 +39,12 @@ Canonical form
   symbol's byte is 0 in every term; otherwise the sort picks the present
   symbols' bytes out in symbol order.  This is checked per polynomial, so
   no output depends on what the process interned before.
+* Rendering tests the whole polynomial once: when every byte of the OR of
+  its keys is 0 or 1, so is every exponent, and each term is written
+  straight from its key's bytes by :func:`_zero_one_text`, as the names of
+  the symbols whose byte is 1 joined by ``*``.  The walk of
+  ``involution`` writes its weights, +-1 times one such monomial, the same
+  way.  Any other polynomial loops over its present symbols per term.
 
 Rendering: ``-3*a[1,2]*a[2,1]*b[2]`` style -- integer coefficient (omitted
 when +/-1 on a non-constant monomial), symbols joined by ``*`` in symbol
@@ -54,7 +60,7 @@ from functools import reduce
 from itertools import compress
 from math import prod
 from operator import itemgetter, or_
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 Rational = Fraction
 
@@ -182,14 +188,31 @@ def _overflow(sym: Symbol, exp: int) -> OverflowError:
     )
 
 
-def _render_monomial(syms: list[str], coeff: int) -> str:
-    if not syms:
+def _render_monomial(text: str, coeff: int) -> str:
+    # a term from its monomial's text, "" for the constant monomial
+    if not text:
         return str(coeff)
     if coeff == 1:
-        return "*".join(syms)
+        return text
     if coeff == -1:
-        return "-" + "*".join(syms)
-    return "*".join([str(coeff)] + syms)
+        return "-" + text
+    return f"{coeff}*{text}"
+
+
+def _zero_one_text(present: list[int]) -> Callable[[bytes], str]:
+    # The text of a monomial whose exponents are all 0 or 1, from its packed
+    # key's bytes (at least max(present) + 1 of them): the names of the
+    # symbols whose byte is 1, in symbol order.  present lists the intern
+    # indices of every symbol that may occur, in symbol order.  When they
+    # were interned in that order, the names and bytes are picked directly,
+    # since every other byte is 0; otherwise through itemgetter.
+    join = "*".join
+    if present == sorted(present):
+        names = _NAMES[: present[-1] + 1] if present else []
+        return lambda raw: join(compress(names, raw))
+    names = [_NAMES[k] for k in present]
+    pick = itemgetter(*present)  # two or more symbols, so pick gives a tuple
+    return lambda raw: join(compress(names, pick(raw)))
 
 
 _new = object.__new__
@@ -409,14 +432,22 @@ class Polynomial:
         present, rows = self._ordered()
         if not rows:
             return "0"
-        names = [(k, _NAMES[k]) for k in present]
+        if max(_bytes(reduce(or_, self._terms)), default=0) < 2:  # all 0 or 1
+            monomial = _zero_one_text(present)
+        else:
+            names = [(k, _NAMES[k]) for k in present]
+
+            def monomial(raw: bytes) -> str:
+                return "*".join(
+                    [s if e == 1 else f"{s}^{e}" for k, s in names if (e := raw[k])]
+                )
+
         pieces = []
         for raw, coeff in rows:
             if pieces:
                 pieces.append(" + " if coeff > 0 else " - ")
                 coeff = abs(coeff)
-            syms = [s if e == 1 else f"{s}^{e}" for k, s in names if (e := raw[k])]
-            pieces.append(_render_monomial(syms, coeff))
+            pieces.append(_render_monomial(monomial(raw), coeff))
         return "".join(pieces)
 
     def __str__(self) -> str:

@@ -24,7 +24,11 @@ Exit codes: 0 success / all checks pass, 1 a check failed or output could
 not be written, 2 input or usage error (an n below 1 among them), 3
 singular system, 4 size guard violation (n > max-n; override with --max-n).
 ``main`` maps each error that ends a subcommand to its code by one table,
-``_EXIT_CODES``, which sits beside the codes themselves.
+``_EXIT_CODES``, which sits beside the codes themselves.  A failed write to
+stdout, a closed pipe or a full disk, also at the final flush, exits 1
+with one ``error: cannot write output: ...`` line on stderr and no
+traceback; stdout is then pointed at ``os.devnull``, so the interpreter's
+own flush at exit has nothing left to fail on.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ _EXIT_CODES = {
     SingularSystemError: EXIT_SINGULAR,
     SizeLimitError: EXIT_GUARD,
     ResidualError: EXIT_FAIL,
+    # only a write to stdout lets one through: an input file's own OSError
+    # is an InputError, and a certificate's write reports its own failure
+    OSError: EXIT_FAIL,
 }
 
 
@@ -341,9 +348,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a write held in the buffer fails here
+        return code
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError):
+            message = f"cannot write output: {exc}"
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: {message}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -295,12 +295,15 @@ def verify_identity(
 
     In symbolic mode this is a strict polynomial identity; in rational mode
     both sides are Fractions.  The report carries canonical renderings of
-    both sides.
+    both sides.  Equal sides have the same canonical text, so a passing
+    row renders one side only.
     """
     if not 1 <= i <= sys.n:
         raise ValueError(f"i={i} outside 1..{sys.n}")
     lhs, rhs = _identity_sides(sys, i, all_big_x(sys, max_n=max_n))
-    return IdentityReport(i, lhs == rhs, render_scalar(lhs), render_scalar(rhs))
+    ok = lhs == rhs
+    text = render_scalar(lhs)
+    return IdentityReport(i, ok, text, text if ok else render_scalar(rhs))
 
 
 def _identity_sides(

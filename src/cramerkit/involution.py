@@ -45,9 +45,9 @@ import math
 from functools import cache
 from itertools import chain, combinations, starmap
 from operator import getitem, gt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .algebra import Scalar, _owned, _packed, render_scalar
+from .algebra import _INDEX, Scalar, _owned, _packed, _zero_one_text, render_scalar
 from .cramer import LinearSystem, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
@@ -226,7 +226,8 @@ def _walk(
     ``_sign``.  A key adds one byte per factor, and a weight holds each
     symbol at most once: one b factor, and a factors in distinct columns
     (a[i, j] alone in column j).  So every byte is 0 or 1, and no key sum
-    reaches a guard bit.
+    reaches a guard bit; ``_weight_writer`` relies on this to write a weight
+    straight from its key's bytes.
 
     A good element's W and w_0(pi) both take the sign of pi, so fact 1
     elementwise compares their keys alone.  The map checks run at every bad
@@ -243,7 +244,7 @@ def _walk(
     size guard and before any work.  The walk shares no weight arithmetic,
     rendering or pairing code with ``validate_certificate``.  With
     ``collect``, each row is formed as its final entry, in a list per
-    position j.  A good weight is rendered from its key; a pair's first
+    position j.  A good weight is written from its key; a pair's first
     weight too, and its second is that text with the sign flipped, which
     is the partner's own weight whenever the pair cancels, the only case
     in which a certificate is returned.  The stream is in lexicographic
@@ -267,6 +268,7 @@ def _walk(
     good_count = bad_count = 0
     good_rows: list[list] = [[] for _ in range(sys.n)]  # one list per position j
     pair_rows: list[list] = [[] for _ in range(sys.n)]
+    render_weight = _weight_writer(gs) if collect else None
     for values, sgn in iter_signed_values(sys.n, max_n=max_n):
         for j, v in enumerate(values, 1):
             e = (j, values)
@@ -277,7 +279,7 @@ def _walk(
                     elementwise = False
                 good[w] = good.get(w, 0) + sgn
                 if collect:
-                    good_rows[j - 1].append((_felement(e), _render(w, sgn)))
+                    good_rows[j - 1].append((_felement(e), render_weight(w, sgn)))
                 continue
             bad_count += 1
             j2, sigma = t = _partner(i, j, values)
@@ -295,7 +297,7 @@ def _walk(
                 bad[w_e] = bad.get(w_e, 0) + sgn
                 bad[w_t] = bad.get(w_t, 0) + sgn_t
             if collect:
-                text = _render(w_e, sgn)  # a certified pair has w_t = w_e, -sgn
+                text = render_weight(w_e, sgn)  # a certified pair has w_t = w_e, -sgn
                 text_t = text[1:] if sgn < 0 else "-" + text
                 pair_rows[j - 1].append((_felement(e), _felement(t), text, text_t))
 
@@ -362,9 +364,21 @@ def _nonzero(terms: dict) -> dict:
     return terms
 
 
-def _render(key: int, sgn: int) -> str:
-    # a walk weight, +-1 times one monomial, as the certificate writes it
-    return render_scalar(_owned({key: sgn}))
+def _weight_writer(gs: LinearSystem) -> Callable[[int, int], str]:
+    # A walk weight of gs, +-1 times one monomial, as the certificate writes
+    # it, from its key and sign.  Every byte of a weight key is 0 or 1 (see
+    # _walk), so the algebra's 0/1 writer writes it, over gs's symbols
+    # sorted by symbol, whatever order they were interned in.
+    symbols = sorted(s for x in chain(*gs.entries, gs.rhs) for s in x.symbols())
+    present = [_INDEX[s] for s in symbols]
+    width = max(present) + 1
+    text = _zero_one_text(present)
+
+    def render(key: int, sgn: int) -> str:
+        t = text(key.to_bytes(width, "little"))
+        return t if sgn > 0 else "-" + t
+
+    return render
 
 
 def _felement(e: tuple[int, tuple[int, ...]]) -> FElement:

@@ -461,7 +461,9 @@ def dense(exponents: dict) -> tuple:
 
 def row_cases(row: list) -> list:
     # a one-term, a one-symbol, a constant and the zero polynomial over row,
-    # and two terms that row 50's intern order would list the other way round
+    # two terms that row 50's intern order would list the other way round,
+    # and terms whose exponents are all 0 or 1, which render() writes
+    # straight from their keys' bytes
     first, second, third = row
     return [
         {dense({first: 2, second: 1, third: 3}): -5},
@@ -469,6 +471,13 @@ def row_cases(row: list) -> list:
         {dense({}): 7},
         {},
         {dense({first: 1}): 1, dense({third: 2}): 3},
+        {
+            dense({second: 1, third: 1}): 1,
+            dense({first: 1, third: 1}): -1,
+            dense({first: 1, second: 1, third: 1}): 6,
+            dense({third: 1}): -2,
+            dense({}): -3,
+        },
     ]
 
 

@@ -1047,3 +1047,86 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "n=2 i=1: certificate valid (good=2 pairs=1)\n"
+
+
+# -- a failed write to stdout ----------------------------------------------------
+
+
+def cli_child(argv, stdout, **env_extra):
+    # python -m cramerkit argv, its stdout to stdout and its stderr to a pipe
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "cramerkit", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def first_line_then_close(argv, **env_extra):
+    # read one line of the child's stdout, close the pipe as `head -1` does,
+    # and return the line, the exit code and stderr
+    proc = cli_child(argv, subprocess.PIPE, **env_extra)
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return line, proc.wait(), err
+
+
+def assert_output_not_written(code, err, reason):
+    assert code == EXIT_FAIL, err
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+    assert err == f"error: cannot write output: {reason}\n".encode()
+
+
+def test_a_closed_pipe_after_one_identity_line_exits_1():
+    # unbuffered, so that the first line leaves the child on its own while
+    # five rows are left to write.  A child that wrote every row before the
+    # pipe was closed exits 0 with nothing on stderr: only then is the run
+    # repeated, and the last run must see the closed pipe
+    for attempt in range(3):
+        line, code, err = first_line_then_close(
+            ["verify-identity", "--n", "6"], PYTHONUNBUFFERED="1"
+        )
+        assert line == b"i=1: PASS\n"
+        if (code, err) != (EXIT_OK, b"") or attempt == 2:
+            break
+    assert_output_not_written(code, err, "[Errno 32] Broken pipe")
+
+
+def test_a_closed_pipe_after_one_symbolic_solve_line_exits_1(tmp_path):
+    # the six lines of x_j at n=6 are about 370 kB, more than the pipe and
+    # the reader's buffer hold, so the child is still writing when the pipe
+    # closes, with its output buffered or not
+    doc = write_doc(tmp_path, "sym6.json", {"n": 6, "mode": "symbolic"})
+    for unbuffered in ("", "1"):
+        line, code, err = first_line_then_close(
+            ["solve", "--input", doc], PYTHONUNBUFFERED=unbuffered
+        )
+        assert line.startswith(b"x1 = (") and line.endswith(b")\n")
+        assert_output_not_written(code, err, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_solve_json_to_a_full_device_exits_1(tmp_path):
+    # buffered, the write fails at main's final flush; unbuffered, at print
+    doc = write_doc(tmp_path, "d.json", rational_doc([[1, 1], [1, -1]], [3, 1]))
+    for unbuffered in ("", "1"):
+        with open("/dev/full", "wb") as full:
+            proc = cli_child(
+                ["solve", "--json", "--input", doc], full, PYTHONUNBUFFERED=unbuffered
+            )
+            err = proc.stderr.read()
+            proc.stderr.close()
+        assert_output_not_written(
+            proc.wait(), err, "[Errno 28] No space left on device"
+        )
+
+
+def test_an_unreadable_input_file_still_exits_2(tmp_path, capsys):
+    # an input file's own OSError is an input error, not a failed write
+    code, out, err = run(capsys, "solve", "--input", str(tmp_path / "missing.json"))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: cannot read ")
