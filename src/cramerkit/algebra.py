@@ -199,20 +199,30 @@ def _render_monomial(text: str, coeff: int) -> str:
     return f"{coeff}*{text}"
 
 
-def _zero_one_text(present: list[int]) -> Callable[[bytes], str]:
+def _zero_one_text(
+    present: list[int], pick: Callable[[bytes], tuple] | None
+) -> Callable[[bytes], str]:
     # The text of a monomial whose exponents are all 0 or 1, from its packed
     # key's bytes (at least max(present) + 1 of them): the names of the
     # symbols whose byte is 1, in symbol order.  present lists the intern
-    # indices of every symbol that may occur, in symbol order.  When they
-    # were interned in that order, the names and bytes are picked directly,
-    # since every other byte is 0; otherwise through itemgetter.
+    # indices of every symbol that may occur, in symbol order, and pick is
+    # None when they were interned in that order, so that the names and
+    # bytes are picked directly, since every other byte is 0; otherwise
+    # pick is itemgetter(*present), which picks the bytes out in that order.
     join = "*".join
-    if present == sorted(present):
+    if pick is None:
         names = _NAMES[: present[-1] + 1] if present else []
         return lambda raw: join(compress(names, raw))
     names = [_NAMES[k] for k in present]
-    pick = itemgetter(*present)  # two or more symbols, so pick gives a tuple
     return lambda raw: join(compress(names, pick(raw)))
+
+
+def _picker(present: list[int]) -> Callable[[bytes], tuple] | None:
+    # None when present, intern indices in symbol order, is in intern order
+    # too; otherwise what picks their bytes out of a key in symbol order
+    if present == sorted(present):
+        return None
+    return itemgetter(*present)  # two or more symbols, so it gives a tuple
 
 
 _new = object.__new__
@@ -377,28 +387,25 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _ordered(self) -> tuple[list[int], list[tuple[bytes, int]]]:
-        # The indices of the symbols present, in symbol order, and each term
-        # as (its packed key's bytes, coefficient), leading term first.  When
-        # the present symbols were interned in symbol order, the bytes sort
-        # as the dense exponent vectors do, since an absent symbol's byte is
-        # 0 in every row; otherwise the sort key picks the present bytes out
+    def _ordered(self) -> tuple[bytes, list[int], Callable | None, list]:
+        # The bytes of the OR of the packed keys; the indices of the symbols
+        # present, in symbol order; their _picker; and each term as (its
+        # packed key's bytes, coefficient), leading term first.  When the
+        # present symbols were interned in symbol order, the bytes sort as
+        # the dense exponent vectors do, since an absent symbol's byte is 0
+        # in every row; otherwise the sort key picks the present bytes out
         # in symbol order.  So the order never depends on the intern order.
         b = _bytes(reduce(or_, self._terms, 0))
         width = len(b)
         present = sorted(compress(range(width), b), key=_SYMBOLS.__getitem__)
         rows = [(m.to_bytes(width, "little"), c) for m, c in self._terms.items()]
-        if present == sorted(present):
-            key = None
-        else:  # two or more symbols, so the picked exponents are a tuple
-            pick = itemgetter(*present)
-            key = lambda row: pick(row[0])  # noqa: E731
-        rows.sort(key=key, reverse=True)
-        return present, rows
+        pick = _picker(present)
+        rows.sort(key=None if pick is None else lambda row: pick(row[0]), reverse=True)
+        return b, present, pick, rows
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order, leading monomial first."""
-        present, rows = self._ordered()
+        _, present, _, rows = self._ordered()
         syms = [(k, _SYMBOLS[k]) for k in present]
         return [
             (tuple((s, raw[k]) for k, s in syms if raw[k]), c) for raw, c in rows
@@ -429,11 +436,11 @@ class Polynomial:
 
     def render(self) -> str:
         """Bit-stable text form (see the module docstring for the grammar)."""
-        present, rows = self._ordered()
+        b, present, pick, rows = self._ordered()
         if not rows:
             return "0"
-        if max(_bytes(reduce(or_, self._terms)), default=0) < 2:  # all 0 or 1
-            monomial = _zero_one_text(present)
+        if max(b, default=0) < 2:  # every exponent is 0 or 1
+            monomial = _zero_one_text(present, pick)
         else:
             names = [(k, _NAMES[k]) for k in present]
 

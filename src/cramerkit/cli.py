@@ -27,8 +27,9 @@ singular system, 4 size guard violation (n > max-n; override with --max-n).
 ``_EXIT_CODES``, which sits beside the codes themselves.  A failed write to
 stdout, a closed pipe or a full disk, also at the final flush, exits 1
 with one ``error: cannot write output: ...`` line on stderr and no
-traceback; stdout is then pointed at ``os.devnull``, so the interpreter's
-own flush at exit has nothing left to fail on.
+traceback; when stdout still cannot be flushed, it is then pointed at
+``os.devnull``, so the interpreter's own flush at exit has nothing left to
+fail on.  A failed write to stderr exits 1 too, with nothing more written.
 """
 
 from __future__ import annotations
@@ -72,10 +73,29 @@ _EXIT_CODES = {
     SingularSystemError: EXIT_SINGULAR,
     SizeLimitError: EXIT_GUARD,
     ResidualError: EXIT_FAIL,
-    # only a write to stdout lets one through: an input file's own OSError
-    # is an InputError, and a certificate's write reports its own failure
+    # a failed write to stdout or stderr: an input file's own OSError is an
+    # InputError, and a certificate's write reports its own failure
     OSError: EXIT_FAIL,
 }
+
+
+def _drop_stdout() -> None:
+    # After a failed write: when stdout still cannot be flushed, point its
+    # descriptor at os.devnull, so that the interpreter's own flush at exit
+    # has nothing left to fail on.  A stdout that flushes, or that has no
+    # descriptor (in-process, as under a test's capture), is left as it is.
+    try:
+        sys.stdout.flush()
+        return
+    except (OSError, ValueError):
+        pass
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 class InputDocument(NamedTuple):
@@ -355,10 +375,11 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc)
         if isinstance(exc, OSError):
             message = f"cannot write output: {exc}"
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"error: {message}", file=sys.stderr)
+            _drop_stdout()
+        try:
+            print(f"error: {message}", file=sys.stderr)
+        except OSError:
+            pass  # stderr cannot be written either; the exit code still tells
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -47,7 +47,15 @@ from itertools import chain, combinations, starmap
 from operator import getitem, gt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .algebra import _INDEX, Scalar, _owned, _packed, _zero_one_text, render_scalar
+from .algebra import (
+    _INDEX,
+    Scalar,
+    _owned,
+    _packed,
+    _picker,
+    _zero_one_text,
+    render_scalar,
+)
 from .cramer import LinearSystem, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
@@ -372,7 +380,7 @@ def _weight_writer(gs: LinearSystem) -> Callable[[int, int], str]:
     symbols = sorted(s for x in chain(*gs.entries, gs.rhs) for s in x.symbols())
     present = [_INDEX[s] for s in symbols]
     width = max(present) + 1
-    text = _zero_one_text(present)
+    text = _zero_one_text(present, _picker(present))
 
     def render(key: int, sgn: int) -> str:
         t = text(key.to_bytes(width, "little"))

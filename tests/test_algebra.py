@@ -556,8 +556,9 @@ def test_the_reference_rows_take_both_sort_paths():
     # the one-term case of each row: row 50's symbols are out of intern
     # order, row 51's in order
     for row, in_order in ((ROW_50, False), (ROW_51, True)):
-        present, _ = from_dense(row_cases(row)[0])._ordered()
+        _, present, pick, _ = from_dense(row_cases(row)[0])._ordered()
         assert len(present) == 3 and (present == sorted(present)) is in_order
+        assert (pick is None) is in_order
 
 
 def test_product_above_the_exponent_ceiling_raises():

@@ -1130,3 +1130,32 @@ def test_an_unreadable_input_file_still_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--input", str(tmp_path / "missing.json"))
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("error: cannot read ")
+
+
+class UnwritableStream(io.StringIO):
+    # a stream with no descriptor, on which every write and flush fails
+    def write(self, *args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+def test_an_unwritable_stdout_in_process_exits_1(monkeypatch, capsys):
+    # the stream has no descriptor to point at os.devnull, and is left as it is
+    stdout = UnwritableStream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["verify-identity", "--n", "2"]) == EXIT_FAIL
+    assert sys.stdout is stdout
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_an_unwritable_stderr_in_process_exits_1(tmp_path, monkeypatch, capsys):
+    # the certificate's write fails, its report to stderr fails too, and so
+    # does main's own error line; stdout keeps what was written to it
+    monkeypatch.setattr(sys, "stderr", UnwritableStream())
+    target = tmp_path / "missing" / "cert.json"
+    argv = ["check-involution", "--n", "2", "--i", "1", "--emit-certificate", str(target)]
+    assert main(argv) == EXIT_FAIL
+    assert not target.parent.exists()
+    out = capsys.readouterr().out
+    assert out.startswith("n=2 i=1: good=2 bad=2\n") and out.endswith("PASS\n")

@@ -7,11 +7,10 @@ Run from the root of a git checkout:
         --workloads prove-symbolic --pairs 5 --seconds 25 --first-seed 3121
 
 Each side is exported into its own temporary directory with only the local
-git: the parent with ``git archive REV | tar -x``, the change the same way
-from ``--change REV``, or, without it, from the working tree (every file git
-tracks or would track, as it is on disk).  Each run is
-``perfbench/run.py --workload W --seed S --seconds T --trace 0``, started
-from the side's copy and left as it is.  Pair k of a workload runs both
+git: the parent with ``git archive REV | tar -x``, the change from the
+working tree (every file git tracks or would track, as it is on disk).
+Each run is ``perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+started from the side's copy and left as it is.  Pair k of a workload runs both
 sides on seed first_seed + k, one after the other, and the side that runs
 first alternates from pair to pair.
 
@@ -126,7 +125,6 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV")
-    parser.add_argument("--change", metavar="REV", help="default: the working tree")
     parser.add_argument("--label", required=True)
     parser.add_argument("--description", default="", help="what the change does")
     parser.add_argument("--workloads", nargs="+", required=True)
@@ -142,10 +140,9 @@ def main(argv: list[str] | None = None) -> int:
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     parent = commit(args.parent)
-    change = commit(args.change) if args.change else None
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         copies = {side: os.path.join(tmp, side) for side in SIDES}
-        for side, rev in zip(SIDES, (parent, change)):
+        for side, rev in zip(SIDES, (parent, None)):
             os.mkdir(copies[side])
             export(rev, copies[side])
         digests = {side: src_digest(copies[side]) for side in SIDES}  # before any run
@@ -167,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "change": args.description,
         "parent_commit": parent,
-        "change_commit": change or f"working tree on {commit('HEAD')}",
+        "change_commit": f"working tree on {commit('HEAD')}",
         "src_sha256": digests,
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
