@@ -33,18 +33,22 @@ Canonical form
   smallest symbol on, so at the first difference a present symbol beats
   an absent one.  The direction is a convention; what matters is that it
   is fixed and independent of the intern order, so rendered output is
-  bit-stable and can be compared as strings.  Terms are sorted on their
-  packed keys' bytes.  When a polynomial's symbols were interned in symbol
-  order, those bytes compare as the dense vectors do, since an absent
-  symbol's byte is 0 in every term; otherwise the sort picks the present
-  symbols' bytes out in symbol order.  This is checked per polynomial, so
-  no output depends on what the process interned before.
+  bit-stable and can be compared as strings.  One function,
+  :func:`_layout`, decides from the OR of a set of keys whether their
+  symbols were interned in symbol order, and turns each key into a row of
+  bytes that compares as the dense vector does: the key's own bytes when
+  they were, since an absent symbol's byte is 0 in every term, and
+  otherwise the present symbols' bytes, picked out once in symbol order.
+  Terms are sorted on their rows with no key, and every writer and
+  ``terms()`` read a row by position.  The decision is made per
+  polynomial, so no output depends on what the process interned before.
 * Rendering tests the whole polynomial once: when every byte of the OR of
   its keys is 0 or 1, so is every exponent, and each term is written
-  straight from its key's bytes by :func:`_zero_one_text`, as the names of
-  the symbols whose byte is 1 joined by ``*``.  The walk of
-  ``involution`` writes its weights, +-1 times one such monomial, the same
-  way.  Any other polynomial loops over its present symbols per term.
+  straight from its row by :func:`_zero_one_text`, as the names of the
+  symbols whose byte is 1 joined by ``*``.  The walk of ``involution``
+  writes its weights, +-1 times one such monomial, the same way, on rows
+  from the layout of the generic system's keys.  Any other polynomial
+  loops over its present symbols per term.
 
 Rendering: ``-3*a[1,2]*a[2,1]*b[2]`` style -- integer coefficient (omitted
 when +/-1 on a non-constant monomial), symbols joined by ``*`` in symbol
@@ -60,7 +64,7 @@ from functools import reduce
 from itertools import compress
 from math import prod
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -199,30 +203,33 @@ def _render_monomial(text: str, coeff: int) -> str:
     return f"{coeff}*{text}"
 
 
-def _zero_one_text(
-    present: list[int], pick: Callable[[bytes], tuple] | None
-) -> Callable[[bytes], str]:
-    # The text of a monomial whose exponents are all 0 or 1, from its packed
-    # key's bytes (at least max(present) + 1 of them): the names of the
-    # symbols whose byte is 1, in symbol order.  present lists the intern
-    # indices of every symbol that may occur, in symbol order, and pick is
-    # None when they were interned in that order, so that the names and
-    # bytes are picked directly, since every other byte is 0; otherwise
-    # pick is itemgetter(*present), which picks the bytes out in that order.
-    join = "*".join
-    if pick is None:
-        names = _NAMES[: present[-1] + 1] if present else []
-        return lambda raw: join(compress(names, raw))
-    names = [_NAMES[k] for k in present]
-    return lambda raw: join(compress(names, pick(raw)))
-
-
-def _picker(present: list[int]) -> Callable[[bytes], tuple] | None:
-    # None when present, intern indices in symbol order, is in intern order
-    # too; otherwise what picks their bytes out of a key in symbol order
+def _layout(keys: Iterable[int]) -> tuple[bytes, Sequence[int], Callable[[int], bytes]]:
+    # The one place that asks whether symbols were interned in symbol order.
+    # From a set of packed keys: the bytes of their OR; the slots, the intern
+    # indices that the bytes of a row stand for, in symbol order; and row,
+    # which gives a key's row.  When the present symbols were interned in
+    # symbol order, a row is the key's own bytes and the slots are every
+    # index below the width, since an absent symbol's byte is 0 in every
+    # key; otherwise a row is the present symbols' bytes, picked out once in
+    # symbol order.  Either way rows compare as the dense exponent vectors
+    # over the present symbols do, so no order or text built on them
+    # depends on the intern order.
+    b = _bytes(reduce(or_, keys, 0))
+    width = len(b)
+    present = sorted(compress(range(width), b), key=_SYMBOLS.__getitem__)
     if present == sorted(present):
-        return None
-    return itemgetter(*present)  # two or more symbols, so it gives a tuple
+        return b, range(width), lambda m: m.to_bytes(width, "little")
+    pick = itemgetter(*present)  # two or more symbols, so it gives a tuple
+    return b, present, lambda m: bytes(pick(m.to_bytes(width, "little")))
+
+
+def _zero_one_text(slots: Sequence[int]) -> Callable[[bytes], str]:
+    # The text of a monomial whose exponents are all 0 or 1, from its row
+    # over slots (see _layout): the names of the symbols whose byte is 1,
+    # in symbol order.
+    join = "*".join
+    names = [_NAMES[k] for k in slots]
+    return lambda raw: join(compress(names, raw))
 
 
 _new = object.__new__
@@ -387,28 +394,21 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _ordered(self) -> tuple[bytes, list[int], Callable | None, list]:
-        # The bytes of the OR of the packed keys; the indices of the symbols
-        # present, in symbol order; their _picker; and each term as (its
-        # packed key's bytes, coefficient), leading term first.  When the
-        # present symbols were interned in symbol order, the bytes sort as
-        # the dense exponent vectors do, since an absent symbol's byte is 0
-        # in every row; otherwise the sort key picks the present bytes out
-        # in symbol order.  So the order never depends on the intern order.
-        b = _bytes(reduce(or_, self._terms, 0))
-        width = len(b)
-        present = sorted(compress(range(width), b), key=_SYMBOLS.__getitem__)
-        rows = [(m.to_bytes(width, "little"), c) for m, c in self._terms.items()]
-        pick = _picker(present)
-        rows.sort(key=None if pick is None else lambda row: pick(row[0]), reverse=True)
-        return b, present, pick, rows
+    def _ordered(self) -> tuple[bytes, Sequence[int], list]:
+        # The bytes of the OR of the packed keys, the slots of _layout, and
+        # each term as (its row, coefficient), leading term first: rows
+        # compare as the dense exponent vectors do, so they sort as they are
+        b, slots, row = _layout(self._terms)
+        rows = [(row(m), c) for m, c in self._terms.items()]
+        rows.sort(reverse=True)
+        return b, slots, rows
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order, leading monomial first."""
-        _, present, _, rows = self._ordered()
-        syms = [(k, _SYMBOLS[k]) for k in present]
+        b, slots, rows = self._ordered()
+        syms = [(pos, _SYMBOLS[k]) for pos, k in enumerate(slots) if b[k]]
         return [
-            (tuple((s, raw[k]) for k, s in syms if raw[k]), c) for raw, c in rows
+            (tuple((s, raw[pos]) for pos, s in syms if raw[pos]), c) for raw, c in rows
         ]
 
     def symbols(self) -> set[Symbol]:
@@ -436,17 +436,17 @@ class Polynomial:
 
     def render(self) -> str:
         """Bit-stable text form (see the module docstring for the grammar)."""
-        b, present, pick, rows = self._ordered()
+        b, slots, rows = self._ordered()
         if not rows:
             return "0"
         if max(b, default=0) < 2:  # every exponent is 0 or 1
-            monomial = _zero_one_text(present, pick)
+            monomial = _zero_one_text(slots)
         else:
-            names = [(k, _NAMES[k]) for k in present]
+            names = [(pos, _NAMES[k]) for pos, k in enumerate(slots) if b[k]]
 
             def monomial(raw: bytes) -> str:
                 return "*".join(
-                    [s if e == 1 else f"{s}^{e}" for k, s in names if (e := raw[k])]
+                    [s if e == 1 else f"{s}^{e}" for pos, s in names if (e := raw[pos])]
                 )
 
         pieces = []

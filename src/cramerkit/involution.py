@@ -47,15 +47,7 @@ from itertools import chain, combinations, starmap
 from operator import getitem, gt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .algebra import (
-    _INDEX,
-    Scalar,
-    _owned,
-    _packed,
-    _picker,
-    _zero_one_text,
-    render_scalar,
-)
+from .algebra import Scalar, _layout, _owned, _packed, _zero_one_text, render_scalar
 from .cramer import LinearSystem, big_x, generic_system, weight_wj
 from .perm import (
     MAX_N_DEFAULT,
@@ -235,7 +227,9 @@ def _walk(
     symbol at most once: one b factor, and a factors in distinct columns
     (a[i, j] alone in column j).  So every byte is 0 or 1, and no key sum
     reaches a guard bit; ``_weight_writer`` relies on this to write a weight
-    straight from its key's bytes.
+    straight from its key's row in the algebra's layout of the generic
+    system's keys, which is the key's own bytes when the process interned
+    those symbols in symbol order.
 
     A good element's W and w_0(pi) both take the sign of pi, so fact 1
     elementwise compares their keys alone.  The map checks run at every bad
@@ -375,15 +369,14 @@ def _nonzero(terms: dict) -> dict:
 def _weight_writer(gs: LinearSystem) -> Callable[[int, int], str]:
     # A walk weight of gs, +-1 times one monomial, as the certificate writes
     # it, from its key and sign.  Every byte of a weight key is 0 or 1 (see
-    # _walk), so the algebra's 0/1 writer writes it, over gs's symbols
-    # sorted by symbol, whatever order they were interned in.
-    symbols = sorted(s for x in chain(*gs.entries, gs.rhs) for s in x.symbols())
-    present = [_INDEX[s] for s in symbols]
-    width = max(present) + 1
-    text = _zero_one_text(present, _picker(present))
+    # _walk), so the algebra's 0/1 writer writes it from the key's row.  The
+    # rows come from the algebra's _layout over gs's keys, which decides
+    # once per walk how the intern order maps onto symbol order.
+    _, slots, row = _layout(map(_packed, chain(*gs.entries, gs.rhs)))
+    text = _zero_one_text(slots)
 
     def render(key: int, sgn: int) -> str:
-        t = text(key.to_bytes(width, "little"))
+        t = text(row(key))
         return t if sgn > 0 else "-" + t
 
     return render

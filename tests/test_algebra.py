@@ -553,12 +553,22 @@ def test_packed_arithmetic_matches_a_dense_reference(x, y):
 
 
 def test_the_reference_rows_take_both_sort_paths():
-    # the one-term case of each row: row 50's symbols are out of intern
-    # order, row 51's in order
+    # the one-term case of each row: row 51's symbols were interned in symbol
+    # order, so its row is its key's own bytes over every slot below the
+    # width; row 50's were not, so its row holds one byte per present
+    # symbol, picked out in symbol order
     for row, in_order in ((ROW_50, False), (ROW_51, True)):
-        _, present, pick, _ = from_dense(row_cases(row)[0])._ordered()
-        assert len(present) == 3 and (present == sorted(present)) is in_order
-        assert (pick is None) is in_order
+        p = from_dense(row_cases(row)[0])
+        b, slots, rows = p._ordered()
+        (key,) = p._terms
+        ((raw, coeff),) = rows
+        assert coeff == -5
+        if in_order:
+            assert slots == range(len(b))
+            assert raw == key.to_bytes(len(b), "little")
+        else:
+            assert len(slots) == 3 and list(slots) == sorted(slots, reverse=True)
+            assert raw == bytes([2, 1, 3])
 
 
 def test_product_above_the_exponent_ceiling_raises():
@@ -666,22 +676,34 @@ def test_copy_and_deepcopy_keep_the_value():
     assert pickle.loads(pickle.dumps(p)) == p
 
 
-def test_intern_order_does_not_change_any_output():
-    # a fresh process interns every n = 5 symbol in reverse symbol order
-    # before building anything, so every polynomial with two or more symbols
-    # takes the picked-bytes sort; its 120-term sums and certificate are the
-    # same as this process's
+# Two intern orders that differ from symbol order: every n = 5 symbol in
+# reverse symbol order before anything is built, and generic_system(4) built
+# before generic_system(5), which interns the larger system's new symbols
+# after the smaller one's b symbols
+REVERSED_5 = (
+    "syms = [algebra.a_symbol(i, j) for i in range(1, 6) for j in range(1, 6)]\n"
+    "syms += [algebra.b_symbol(i) for i in range(1, 6)]\n"
+    "for s in sorted(syms, reverse=True):\n"
+    "    algebra.Polynomial.from_symbol(s)\n"
+    "assert algebra._SYMBOLS == sorted(syms, reverse=True)\n"
+)
+RISING_N = "generic_system(4)\n"
+
+
+@pytest.mark.parametrize("intern", [REVERSED_5, RISING_N], ids=["reversed", "rising-n"])
+def test_intern_order_does_not_change_any_output(intern):
+    # a fresh process interns its symbols out of symbol order before it
+    # builds generic_system(5), so every polynomial with two or more symbols
+    # out of order has rows picked out in symbol order; its 120-term sums
+    # and certificate are the same as this process's
     code = (
         "import json\n"
         "from cramerkit import algebra, all_big_x, build_certificate, "
         "certificate_to_dict, generic_system\n"
         "assert not algebra._SYMBOLS, 'symbols interned at import'\n"
-        "syms = [algebra.a_symbol(i, j) for i in range(1, 6) for j in range(1, 6)]\n"
-        "syms += [algebra.b_symbol(i) for i in range(1, 6)]\n"
-        "for s in sorted(syms, reverse=True):\n"
-        "    algebra.Polynomial.from_symbol(s)\n"
-        "assert algebra._SYMBOLS == sorted(syms, reverse=True)\n"
-        "g = generic_system(5)\n"
+        + intern
+        + "g = generic_system(5)\n"
+        "assert algebra._SYMBOLS != sorted(algebra._SYMBOLS)\n"
         "print('\\n'.join(x.render() for x in all_big_x(g)))\n"
         "print(json.dumps(certificate_to_dict(build_certificate(g, 1)), indent=2))\n"
     )

@@ -1,4 +1,4 @@
-"""tools/bench_ab.py's summary, on synthetic result lines."""
+"""tools/bench_ab.py's summary, on synthetic result lines, and its runs' errors."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +55,15 @@ def test_an_existing_file_is_not_overwritten(tmp_path, monkeypatch, capsys):
     assert bench_ab.main(argv) == 2
     assert (tmp_path / "BENCH_x.json").read_text() == "kept"
     assert "not overwritten" in capsys.readouterr().err
+
+
+def test_a_run_that_dies_after_its_meta_line_names_its_exit_and_stderr(tmp_path):
+    # a stub perfbench/run.py that writes its meta line and then fails
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('meta {\"seed\": 1}', flush=True)\n"
+        "sys.exit('boom: the workload crashed')\n"
+    )
+    with pytest.raises(RuntimeError, match=r"exited 1 with no result:\nboom: the workload"):
+        bench_ab.run_side(str(tmp_path), "solve-int", 1, 1.0)

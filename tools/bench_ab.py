@@ -15,7 +15,11 @@ sides on seed first_seed + k, one after the other, and the side that runs
 first alternates from pair to pair.
 
 The file keeps every run's ``meta`` and result lines unedited, both
-revisions and a SHA-256 of each side's ``src/``.  For each workload it adds
+revisions, a SHA-256 of each side's ``src/`` and the values of
+``PYTHONDONTWRITEBYTECODE`` and ``PYTHONPYCACHEPREFIX`` that the runs
+inherited, which decide whether a CLI child compiles the package afresh.
+A run that writes no result line raises ``RuntimeError`` with its exit code
+and stderr.  For each workload it adds
 a summary: for each end-to-end metric of ``BENCHMARK.json``, each side's
 median and quartiles (``statistics.quantiles``, exclusive method) over the
 pairs, and the number of pairs in which the change was better.  An
@@ -36,6 +40,10 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
+
+#: Inherited by every run and not named in perfbench's meta line, though they
+#: move cli-mixed by tens of milliseconds an op.
+BYTECODE_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
 
 def git(*args: str) -> bytes:
@@ -78,9 +86,13 @@ def run_side(copy: str, workload: str, seed: int, seconds: float) -> tuple[dict,
     proc = subprocess.run(argv, cwd=copy, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     metas = [line[5:] for line in lines if line.startswith("meta ")]
-    if not (lines and metas):
-        raise RuntimeError(f"{' '.join(argv[1:])} wrote no result:\n{proc.stderr}")
-    return json.loads(metas[0]), json.loads(lines[-1])
+    try:
+        return json.loads(metas[0]), json.loads(lines[-1])
+    except (IndexError, ValueError):  # no meta line, or no result line last
+        raise RuntimeError(
+            f"{' '.join(argv[1:])} exited {proc.returncode} with no result:\n"
+            f"{proc.stderr}"
+        ) from None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -169,11 +181,13 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
         "host": f"{os.cpu_count()}-core host, Python {platform.python_version()}",
+        "env": {name: os.environ.get(name) for name in BYTECODE_ENV},
         "notes": [
             "Written by tools/bench_ab.py. Each pair runs parent and change on one "
             "seed, one after the other; 'ran' is 1 for the side that ran first, "
             "which alternates from pair to pair. 'meta' and 'result' are "
-            "perfbench's own meta line and last line, unedited.",
+            "perfbench's own meta line and last line, unedited. 'env' gives "
+            "the bytecode-cache variables the runs inherited (null when unset).",
             "'summary' gives, per end-to-end metric, each side's median and "
             "quartiles over the pairs (statistics.quantiles, exclusive method) "
             "and the number of pairs in which the change was better.",
