@@ -27,6 +27,7 @@ Canonical form
   (``terms()``, ``render()``, ``symbols()``) is decoded at the boundary.
 * Polynomial terms are kept in a map packed monomial -> nonzero
   coefficient; two polynomials are equal exactly when their maps are equal.
+  Sums and products both merge such maps by :func:`_fold`.
 * For rendering, terms are listed with the lexicographically largest
   exponent vector first (leading-term-first): the dense vectors of
   exponents over the symbols present, in symbol order, compared from the
@@ -249,8 +250,8 @@ def _packed(p: "Polynomial") -> int:
 
 
 def _fold(terms: dict, other: dict) -> None:
-    # terms += other, in place; cancelled terms are dropped
-    if terms.keys().isdisjoint(other.keys()):  # the usual case in a Leibniz sum
+    # terms += other, in place, dropping cancelled terms: sums and products
+    if terms.keys().isdisjoint(other.keys()):  # usual in a Leibniz sum or a join
         terms.update(other)
         return
     get = terms.get
@@ -350,18 +351,14 @@ class Polynomial:
         big, small = self._terms, other._terms
         if len(big) < len(small):
             big, small = small, big
-        if len(small) == 1:
-            # adding one monomial is injective: no keys merge, none cancel
-            ((m2, c2),) = small.items()
-            prod = {m + m2: c * c2 for m, c in big.items()}
-        else:
-            prod = {}
-            get = prod.get
-            for m2, c2 in small.items():
-                for m, c in big.items():
-                    m += m2
-                    prod[m] = get(m, 0) + c * c2
-            prod = {m: c for m, c in prod.items() if c}
+        # one part per term of small, in which no key repeats: m + m2 is injective
+        prod: dict = {}
+        for m2, c2 in small.items():
+            part = {m + m2: c * c2 for m, c in big.items()}
+            if prod:
+                _fold(prod, part)
+            else:
+                prod = part
         # a byte holds the sum of two exponents up to the ceiling, so the keys
         # are exact; a term that survives with a guard bit set is too high
         guard = _GUARD

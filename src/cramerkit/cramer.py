@@ -214,6 +214,8 @@ def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
     column j of A replaced by b.  The sum holds the system's scalar type
     (Fraction or Polynomial), also when it is zero.
     """
+    if type(j) is not int:  # a bool or a float is no column
+        raise ValueError(f"j={j!r} is not an integer")
     if not 0 <= j <= sys.n:
         raise ValueError(f"j={j} outside 0..{sys.n}")
     _check_guard(sys.n, max_n)

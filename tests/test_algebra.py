@@ -483,6 +483,14 @@ def row_cases(row: list) -> list:
 
 ONE = {dense({}): 1}
 ROW_CASES = row_cases(ROW_50) + row_cases(ROW_51)
+# Two products whose factors both have several terms.  p * q is one part per
+# term of the smaller factor, merged by _fold: a row 50 case times a row 51
+# case share no symbol, so no two parts share a key, and the parts merge
+# whole; (x + y) * (x - y) shares both symbols, so its parts meet in x*y,
+# whose coefficients cancel and are dropped as the parts merge key by key.
+DISJOINT_PRODUCT = (row_cases(ROW_50)[5], row_cases(ROW_51)[1])
+_X, _Y = (dense({s: 1}) for s in ROW_51[:2])
+CANCELLING_PRODUCT = ({_X: 1, _Y: 1}, {_X: 1, _Y: -1})
 
 
 def from_dense(ref: dict) -> Polynomial:
@@ -525,6 +533,8 @@ def with_row_cases(test):
     return test
 
 
+@example(*DISJOINT_PRODUCT)
+@example(*CANCELLING_PRODUCT)
 @with_row_cases
 @given(dense_polys, dense_polys)
 def test_packed_arithmetic_matches_a_dense_reference(x, y):

@@ -67,3 +67,16 @@ def test_a_run_that_dies_after_its_meta_line_names_its_exit_and_stderr(tmp_path)
     )
     with pytest.raises(RuntimeError, match=r"exited 1 with no result:\nboom: the workload"):
         bench_ab.run_side(str(tmp_path), "solve-int", 1, 1.0)
+
+
+def test_a_run_that_exits_nonzero_after_its_result_line_is_not_kept(tmp_path):
+    # perfbench writes a result line with "correct": false and then exits 1
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('meta {\"seed\": 1}')\n"
+        "print('{\"correct\": false, \"failed\": 1}', flush=True)\n"
+        "sys.exit('wrong: op 3 disagreed with Bareiss')\n"
+    )
+    with pytest.raises(RuntimeError, match=r"exited 1 with no result:\nwrong: op 3"):
+        bench_ab.run_side(str(tmp_path), "solve-int", 1, 1.0)

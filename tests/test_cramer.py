@@ -131,6 +131,10 @@ def test_big_x_j_out_of_range():
         big_x(gs, -1)
     with pytest.raises(ValueError):
         big_x(gs, 3)
+    # a float or a bool is no column, even one equal to an index in range
+    for j in (0.0, 1.0, True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            big_x(gs, j)
 
 
 def test_big_x_multilinearity_generic():

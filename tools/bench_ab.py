@@ -18,8 +18,8 @@ The file keeps every run's ``meta`` and result lines unedited, both
 revisions, a SHA-256 of each side's ``src/`` and the values of
 ``PYTHONDONTWRITEBYTECODE`` and ``PYTHONPYCACHEPREFIX`` that the runs
 inherited, which decide whether a CLI child compiles the package afresh.
-A run that writes no result line raises ``RuntimeError`` with its exit code
-and stderr.  For each workload it adds
+A run that exits nonzero, or writes no result line, raises ``RuntimeError``
+with its exit code and stderr.  For each workload it adds
 a summary: for each end-to-end metric of ``BENCHMARK.json``, each side's
 median and quartiles (``statistics.quantiles``, exclusive method) over the
 pairs, and the number of pairs in which the change was better.  An
@@ -87,12 +87,14 @@ def run_side(copy: str, workload: str, seed: int, seconds: float) -> tuple[dict,
     lines = proc.stdout.splitlines()
     metas = [line[5:] for line in lines if line.startswith("meta ")]
     try:
-        return json.loads(metas[0]), json.loads(lines[-1])
+        # perfbench writes its result line and then exits 1 when an op was wrong
+        if not proc.returncode:
+            return json.loads(metas[0]), json.loads(lines[-1])
     except (IndexError, ValueError):  # no meta line, or no result line last
-        raise RuntimeError(
-            f"{' '.join(argv[1:])} exited {proc.returncode} with no result:\n"
-            f"{proc.stderr}"
-        ) from None
+        pass
+    raise RuntimeError(
+        f"{' '.join(argv[1:])} exited {proc.returncode} with no result:\n{proc.stderr}"
+    )
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
