@@ -55,7 +55,7 @@ from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .algebra import Polynomial, Scalar, _sum, a_symbol, b_symbol, render_scalar
-from .perm import MAX_N_DEFAULT, Permutation, _check_guard, sign
+from .perm import MAX_N_DEFAULT, Permutation, _check_guard, _check_index, sign
 
 RATIONAL = "rational"
 SYMBOLIC = "symbolic"
@@ -158,8 +158,7 @@ def _exact(x: Union[int, str, Fraction]) -> Fraction:
 @cache
 def generic_system(n: int) -> LinearSystem:
     """The fully symbolic system: entry (i,j) = a[i,j], rhs i = b[i]; one per n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_index("n", n, 1)  # the cache keys True and 2.0 apart from 1 and 2
     return LinearSystem(
         tuple(
             tuple(Polynomial.from_symbol(a_symbol(i, j)) for j in range(1, n + 1))
@@ -202,8 +201,7 @@ def weight_wj(sys: LinearSystem, j: int, p: Permutation) -> Scalar:
     """Like weight_w0, but the column-j factor is replaced by b[pi_j]."""
     if p.n != sys.n:
         raise ValueError(f"permutation size {p.n} != system size {sys.n}")
-    if not 1 <= j <= sys.n:
-        raise ValueError(f"j={j} outside 1..{sys.n}")
+    _check_index("j", j, 1, sys.n)
     return _weight(sys, p.values, sign(p), j)
 
 
@@ -214,10 +212,7 @@ def big_x(sys: LinearSystem, j: int, max_n: int = MAX_N_DEFAULT) -> Scalar:
     column j of A replaced by b.  The sum holds the system's scalar type
     (Fraction or Polynomial), also when it is zero.
     """
-    if type(j) is not int:  # a bool or a float is no column
-        raise ValueError(f"j={j!r} is not an integer")
-    if not 0 <= j <= sys.n:
-        raise ValueError(f"j={j} outside 0..{sys.n}")
+    _check_index("j", j, 0, sys.n)
     _check_guard(sys.n, max_n)
     if j:
         rows = tuple((*row[: j - 1], b, *row[j:]) for row, b in zip(sys.entries, sys.rhs))
@@ -300,8 +295,7 @@ def verify_identity(
     both sides.  Equal sides have the same canonical text, so a passing
     row renders one side only.
     """
-    if not 1 <= i <= sys.n:
-        raise ValueError(f"i={i} outside 1..{sys.n}")
+    _check_index("i", i, 1, sys.n)
     lhs, rhs = _identity_sides(sys, i, all_big_x(sys, max_n=max_n))
     ok = lhs == rhs
     text = render_scalar(lhs)

@@ -53,6 +53,7 @@ from .perm import (
     MAX_N_DEFAULT,
     Permutation,
     _check_guard,
+    _check_index,
     _sign,
     _swapped,
     enumerate_permutations,
@@ -66,10 +67,7 @@ class FElement(NamedTuple("FElement", [("j", int), ("p", Permutation)])):
     __slots__ = ()
 
     def __new__(cls, j: int, p: Permutation) -> "FElement":
-        if type(j) is not int:  # a bool or a float is no position
-            raise ValueError(f"j={j!r} is not an integer")
-        if not 1 <= j <= p.n:
-            raise ValueError(f"j={j} outside 1..{p.n}")
+        _check_index("j", j, 1, p.n)
         return super().__new__(cls, j, p)
 
     @classmethod
@@ -91,16 +89,14 @@ def iter_elements(n: int, max_n: int = MAX_N_DEFAULT) -> Iterator[FElement]:
 
 def weight_W(sys: LinearSystem, i: int, e: FElement) -> Scalar:
     """a[i, e.j] times the w_j weight of e.p (canonical scalar)."""
-    if not 1 <= i <= sys.n:
-        raise ValueError(f"i={i} outside 1..{sys.n}")
+    _check_index("i", i, 1, sys.n)
     w = weight_wj(sys, e.j, e.p)  # rejects a wrong-size e.p before the a[i, j] lookup
     return sys.entry(i, e.j) * w
 
 
 def is_good(i: int, e: FElement) -> bool:
     """True when pi_j = i; every element is exactly one of good/bad."""
-    if not 1 <= i <= e.p.n:
-        raise ValueError(f"i={i} outside 1..{e.p.n}")
+    _check_index("i", i, 1, e.p.n)
     return e.p.values[e.j - 1] == i
 
 
@@ -253,8 +249,7 @@ def _walk(
     order, so each list is in canonical order and the lists, joined, are
     too.  Certify if all pass.
     """
-    if not 1 <= i <= sys.n:
-        raise ValueError(f"i={i} outside 1..{sys.n}")
+    _check_index("i", i, 1, sys.n)
     _check_guard(sys.n, max_n)
     gs = generic_system(sys.n)
     if sys != gs:
@@ -432,12 +427,11 @@ def certificate_from_dict(data: dict) -> PairingCertificate:
         n, i, good, bad_pairs, fact1_sum, b_i_times_x0, fact2_sum = _fields(
             data, _CERT_KEYS, "the certificate"
         )
-        n = _expect_int(n, "n")
+        if type(n) is not int:  # no bool, and no other int subclass
+            raise TypeError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise TypeError(f"n must be a positive integer, got {n}")
-        i = _expect_int(i, "i")
-        if not 1 <= i <= n:
-            raise TypeError(f"i={i} outside 1..{n}")
+        _check_index("i", i, 1, n)
         return PairingCertificate(
             n=n,
             i=i,
@@ -612,23 +606,16 @@ def _element(j, values, j_key: str, p_key: str) -> FElement:
     # an entry's position and permutation; a fault names the entry's own keys.
     # Exact ints that sort to 1..n are a permutation; any other values fail
     # Permutation's checks, which name the fault
-    j, p = _expect_int(j, j_key), tuple(_expect_list(values, p_key))
+    p = tuple(_expect_list(values, p_key))
     if {*map(type, p)} != {int} or sorted(p) != [*range(1, len(p) + 1)]:
         Permutation(p)
-    if not 1 <= j <= len(p):
-        raise ValueError(f"{j_key}={j} outside 1..{len(p)}")
+    _check_index(j_key, j, 1, len(p))
     return _felement((j, p))
 
 
 def _expect_list(v, what: str) -> list:
     if not isinstance(v, list):
         raise TypeError(f"{what} must be a JSON array, got {type(v).__name__}")
-    return v
-
-
-def _expect_int(v, what: str) -> int:
-    if type(v) is not int:  # as FElement: no bool, and no other int subclass
-        raise TypeError(f"{what} must be an integer, got {v!r}")
     return v
 
 

@@ -5,6 +5,13 @@ Positions and values are 1-based everywhere in the public surface; the
 Permutations are immutable and every operation is pure, so values can be
 shared freely across workers.
 
+Every index or size argument of the package (a row i, a position j, a
+value, a size n) takes one rule, ``_check_index``, before any work: it
+must be an exact int, not a bool, a float or an int subclass, or it raises
+ValueError("i=1.0 is not an integer"); then it must lie in its range, or
+it raises ValueError("i=0 outside 1..3").  A size outside the
+enumeration guard 1..max_n raises SizeLimitError with the guard's text.
+
 Enumeration streams (nothing holds all n! permutations at once) all of
 S_n, each permutation once, in lexicographic order of the value sequences;
 that order is part of the contract, and callers may rely on it.
@@ -109,8 +116,7 @@ def position_of(p: Permutation, value: int) -> int:
     >>> position_of(make_permutation([3, 1, 2]), 2)
     3
     """
-    if not 1 <= value <= p.n:
-        raise ValueError(f"value {value} outside 1..{p.n}")
+    _check_index("value", value, 1, p.n)
     return p.values.index(value) + 1
 
 
@@ -119,11 +125,10 @@ def transpose_positions(p: Permutation, j: int, j2: int) -> Permutation:
 
     Positions are 1-based and must differ; the input is left untouched.
     """
+    _check_index("j", j, 1, p.n)
+    _check_index("j2", j2, 1, p.n)
     if j == j2:
         raise ValueError("transposition needs two distinct positions")
-    for pos in (j, j2):
-        if not 1 <= pos <= p.n:
-            raise ValueError(f"position {pos} outside 1..{p.n}")
     return Permutation(_swapped(p.values, j - 1, j2 - 1))
 
 
@@ -161,6 +166,17 @@ def _sign(v: tuple[int, ...]) -> int:
     return -1 if _inversions(v) % 2 else 1
 
 
+def _check_index(name: str, value: int, lo: int | None = None, hi: int | None = None) -> None:
+    # the one rule for an index or size argument: an exact int, since a bool
+    # or a float would pass a range test and fail, or be misread, later on;
+    # then lo <= value <= hi, where a bound of None is open
+    if type(value) is not int:
+        raise ValueError(f"{name}={value!r} is not an integer")
+    if lo is not None and value < lo or hi is not None and value > hi:
+        raise ValueError(f"{name}={value} outside {lo}..{'' if hi is None else hi}")
+
+
 def _check_guard(n: int, max_n: int) -> None:
+    _check_index("n", n)
     if not 1 <= n <= max_n:
         raise SizeLimitError(f"n={n} outside the enumeration guard 1..{max_n}")

@@ -57,6 +57,19 @@ def test_an_existing_file_is_not_overwritten(tmp_path, monkeypatch, capsys):
     assert "not overwritten" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_exit_2_before_any_export(tmp_path, monkeypatch, capsys, pairs):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_ab, "export", lambda *a: pytest.fail("exported a tree"))
+    argv = ["--parent", "HEAD", "--label", "x", "--workloads", "solve-int",
+            "--pairs", pairs, "--seconds", "1", "--first-seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        bench_ab.main(argv)
+    assert exc.value.code == 2
+    assert f"argument --pairs: {pairs} is below 1" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_x.json").exists()
+
+
 def test_a_run_that_dies_after_its_meta_line_names_its_exit_and_stderr(tmp_path):
     # a stub perfbench/run.py that writes its meta line and then fails
     (tmp_path / "perfbench").mkdir()

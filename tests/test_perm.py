@@ -1,12 +1,28 @@
 """Permutation construction, enumeration, inversions, transpositions."""
 
+import copy
+import functools
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cramerkit import cramer, involution, perm
+from cramerkit.cramer import big_x, generic_system, verify_identity, weight_wj
+from cramerkit.involution import (
+    FElement,
+    build_certificate,
+    certificate_from_dict,
+    certificate_to_dict,
+    check_fact1,
+    check_fact2,
+    is_good,
+    iter_elements,
+    weight_W,
+)
 from cramerkit.perm import (
     Permutation,
     SizeLimitError,
@@ -230,3 +246,84 @@ def test_transpose_is_self_inverse(p, data):
 def test_position_of_roundtrip_random(p):
     for k in range(1, p.n + 1):
         assert position_of(p, p.values[k - 1]) == k
+
+
+# -- one rule for index and size arguments ---------------------------------------
+
+P3 = make_permutation([2, 3, 1])
+
+
+@functools.cache
+def _cert2():
+    # the n = 2, i = 1 certificate as a dict
+    return certificate_to_dict(build_certificate(generic_system(2), 1))
+
+
+def _reader(key, entry=None):
+    # certificate_from_dict on _cert2 with key, of the top level or of the
+    # first item of entry, set to the value
+    def call(value):
+        data = copy.deepcopy(_cert2())
+        (data if entry is None else data[entry][0])[key] = value
+        return certificate_from_dict(data)
+
+    return call
+
+
+# (entry point, argument, lo, hi, whether the range is the enumeration
+# guard, a call on the argument); hi None is an open range
+INDEX_ARGS = [
+    ("position_of", "value", 1, 3, False, lambda v: position_of(P3, v)),
+    ("transpose_positions", "j", 1, 3, False, lambda v: transpose_positions(P3, v, 2)),
+    ("transpose_positions", "j2", 1, 3, False, lambda v: transpose_positions(P3, 1, v)),
+    ("weight_wj", "j", 1, 3, False, lambda v: weight_wj(generic_system(3), v, P3)),
+    ("big_x", "j", 0, 3, False, lambda v: big_x(generic_system(3), v)),
+    ("verify_identity", "i", 1, 3, False, lambda v: verify_identity(generic_system(3), v)),
+    ("FElement", "j", 1, 3, False, lambda v: FElement(v, P3)),
+    ("weight_W", "i", 1, 3, False, lambda v: weight_W(generic_system(3), v, FElement(1, P3))),
+    ("is_good", "i", 1, 3, False, lambda v: is_good(v, FElement(1, P3))),
+    ("check_fact1", "i", 1, 3, False, lambda v: check_fact1(generic_system(3), v)),
+    ("check_fact2", "i", 1, 3, False, lambda v: check_fact2(generic_system(3), v)),
+    ("build_certificate", "i", 1, 3, False, lambda v: build_certificate(generic_system(3), v)),
+    ("certificate_from_dict", "i", 1, 2, False, _reader("i")),
+    ("certificate_from_dict", "j", 1, 2, False, _reader("j", "good")),
+    ("certificate_from_dict", "j2", 1, 2, False, _reader("j2", "bad_pairs")),
+    ("enumerate_permutations", "n", 1, 9, True, enumerate_permutations),
+    ("iter_signed_values", "n", 1, 9, True, iter_signed_values),
+    ("iter_elements", "n", 1, 9, True, iter_elements),
+    ("generic_system", "n", 1, None, False, generic_system),
+]
+
+
+def _no_work(*args):
+    raise AssertionError("work began before the argument was checked")
+
+
+@pytest.mark.parametrize(
+    "entry, name, lo, hi, guarded, call", INDEX_ARGS,
+    ids=[f"{entry}-{name}" for entry, name, *_ in INDEX_ARGS],
+)
+def test_every_index_and_size_argument_takes_one_rule(
+    monkeypatch, entry, name, lo, hi, guarded, call
+):
+    # True and 1.0 are no index, and a value past either end of the range is
+    # refused, each with the one rule's text and before any work: no S_n
+    # stream, kernel sum, weight product, swap or generic symbol.  A size
+    # outside the guard keeps the guard's SizeLimitError and text.
+    generic_system(3), _cert2()  # cached before the work is stubbed
+    for module, work in [(perm, "_swapped"), (cramer, "_leibniz"), (cramer, "_weight"),
+                         (cramer, "a_symbol"), (involution, "iter_signed_values")]:
+        monkeypatch.setattr(module, work, _no_work)
+    monkeypatch.setattr(perm, "itertools", SimpleNamespace(permutations=_no_work))
+    cases = [(True, ValueError, f"{name}=True is not an integer"),
+             (1.0, ValueError, f"{name}=1.0 is not an integer")]
+    for v in (lo - 1,) if hi is None else (lo - 1, hi + 1):
+        if guarded:
+            cases.append((v, SizeLimitError, f"n={v} outside the enumeration guard 1..{hi}"))
+        else:
+            cases.append((v, ValueError, f"{name}={v} outside {lo}..{'' if hi is None else hi}"))
+    prefix = "malformed certificate: " if entry == "certificate_from_dict" else ""
+    for value, error, text in cases:
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert (exc.type, str(exc.value)) == (error, prefix + text)

@@ -97,6 +97,14 @@ def run_side(copy: str, workload: str, seed: int, seconds: float) -> tuple[dict,
     )
 
 
+def positive(text: str) -> int:
+    """An int of at least 1, for --pairs: no pairs would leave nothing to summarize."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """q1, median and q3 of values; one value is all three."""
     if len(values) < 2:
@@ -142,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--description", default="", help="what the change does")
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=positive, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     args = parser.parse_args(argv)
