@@ -22,21 +22,24 @@ only the certificate auditor keeps its own copy.  Both facts are
 checked elementwise / pairwise, because an aggregate zero alone could mask a
 broken pairing.  Fact 1's aggregate is checked against X_0 from the solver's
 kernel; fact 2's adds the pair sums, so it follows from the pairwise checks.
-One walk over S_n does every check; ``check_fact1``, ``check_fact2`` and
-``build_certificate`` are views of it, defined on ``generic_system(n)``
-only: the argument is a polynomial identity in the symbols a[i,j], b[i],
-and any numeric system is an evaluation of it.  Each weight is +-1 times
-one monomial, and T keeps the monomial while it flips the sign, so the
-walk holds a weight as a packed monomial key and a sign and checks both
-facts on those; it decodes only the sums it reports and the weights it
-writes.  The certificate serializes the whole verification -- every good
-element with its weight and every canceling pair, in a deterministic
-order, with bit-stable weight renderings -- and ``validate_certificate``
-audits it independently: it builds each weight's text from (i, j, pi),
-each pairing image with its own swap, and b_i * X_0 as the good texts
-joined in the renderer's order.  It shares no loop, no weight arithmetic,
-no rendering and no pairing code with the walk, only the file format, and
-uses nothing of the solver's kernel or of the algebra.
+Every check is made by one walk over S_n, ``_walk``, told which facts to
+check: fact 1 looks only at the good elements and fact 2 only at the bad
+ones.  ``check_fact1`` weighs the good elements alone, ``check_fact2`` the
+bad ones alone, with no kernel call, and ``build_certificate`` both, in one
+pass.  All are defined on ``generic_system(n)`` only: the argument is a
+polynomial identity in the symbols a[i,j], b[i], and any numeric system is
+an evaluation of it.  Each weight is +-1 times one monomial, and T keeps
+the monomial while it flips the sign, so the walk holds a weight as a
+packed monomial key and a sign and checks the facts on those; it decodes
+only the sums it reports and the weights it writes.  The certificate
+serializes the whole verification -- every good element with its weight
+and every canceling pair, in a deterministic order, with bit-stable weight
+renderings -- and ``validate_certificate`` audits it independently: it
+builds each weight's text from (i, j, pi), each pairing image with its own
+swap, and b_i * X_0 as the good texts joined in the renderer's order.  It
+shares no loop, no weight arithmetic, no rendering and no pairing code with
+the walk, only the file format, and uses nothing of the solver's kernel or
+of the algebra.
 """
 
 from __future__ import annotations
@@ -153,9 +156,11 @@ def check_fact1(
 
     Also checks, element by element, that each good weight equals
     b[i] * w_0(pi) -- the substitution that makes the aggregate work.
-    Defined on generic_system(n) only; any other system raises ValueError.
+    Weighs only the good elements, one per permutation, and pairs no bad
+    one; X_0 comes from the solver's kernel.  Defined on generic_system(n)
+    only; any other system raises ValueError.
     """
-    return _walk(sys, i, max_n)[0]
+    return _walk(sys, i, max_n, facts=(1,))[0]
 
 
 def check_fact2(
@@ -166,10 +171,11 @@ def check_fact2(
     Per bad element e with image t: t is bad, t != e (no fixed points) and
     the map applied twice returns e.  Per pair {e, t}, once: the inversion
     counts of the two permutations differ by an odd number, and
-    W(e) + W(t) = 0 exactly.  Defined on generic_system(n) only; any other
+    W(e) + W(t) = 0 exactly.  Weighs only the bad elements and calls no
+    kernel: no X_0 is summed.  Defined on generic_system(n) only; any other
     system raises ValueError.
     """
-    return _walk(sys, i, max_n)[1]
+    return _walk(sys, i, max_n, facts=(2,))[1]
 
 
 class PairingCertificate(NamedTuple):
@@ -211,9 +217,18 @@ def build_certificate(
 
 
 def _walk(
-    sys: LinearSystem, i: int, max_n: int = MAX_N_DEFAULT, collect: bool = False
-) -> tuple[Fact1Report, Fact2Report, PairingCertificate | None]:
-    """Check both facts for row i in one pass over S_n, on monomial keys.
+    sys: LinearSystem,
+    i: int,
+    max_n: int = MAX_N_DEFAULT,
+    collect: bool = False,
+    facts: tuple[int, ...] = (1, 2),
+) -> tuple[Fact1Report | None, Fact2Report | None, PairingCertificate | None]:
+    """Check the facts named in ``facts`` for row i in one pass over S_n.
+
+    The default checks both.  Fact 1 is checked on the good elements and
+    fact 2 on the bad ones, so a walk of one fact skips the other's
+    elements at once and returns None for the other's report; only fact 1
+    calls the kernel.  ``collect`` needs both facts.
 
     An element is the row (j, values), 1-based as the certificate writes it,
     and ``_partner`` gives its image.  On the generic system every weight is
@@ -234,8 +249,11 @@ def _walk(
     settled once, at its smaller element: the partner's inversion parity
     must differ from pi's, and the two weights, the partner's from its own
     values and sign, cancel when their keys are equal and their signs
-    opposite.  Fact 1's aggregate takes b_i * X_0 from the kernel, not from
-    the keys formed here.
+    opposite.  Fact 1's aggregate compares the good sum with X_0 from the
+    kernel, not from the keys formed here, term by term: each term of X_0
+    times b_i is a term of the good sum, and the two have as many terms.
+    So b_i * X_0 is formed only when they differ; when they agree, the good
+    sum is reported as both.
 
     Both sums are key -> coefficient maps, decoded once at the end.  Any
     system other than ``generic_system(n)`` raises ValueError, after the
@@ -256,7 +274,9 @@ def _walk(
         raise ValueError(
             "fact checks and certificates are only defined for generic_system(n)"
         )
-    b_i_times_x0 = gs.rhs_entry(i) * big_x(gs, 0, max_n=max_n)
+    check1, check2 = 1 in facts, 2 in facts
+    # X_0 first, so that the kernel's working lists never sit beside the good map
+    x0 = big_x(gs, 0, max_n=max_n) if check1 else None
     keys = _key_table(gs, i)
     kb_i = _packed(gs.rhs_entry(i))
     good: dict = {}  # key -> coefficient
@@ -268,17 +288,22 @@ def _walk(
     render_weight = _weight_writer(gs) if collect else None
     for values, sgn in iter_signed_values(sys.n, max_n=max_n):
         for j, v in enumerate(values, 1):
-            e = (j, values)
             if v == i:
+                if not check1:
+                    continue
                 good_count += 1
                 w = _key(keys, values, j)
                 if w != kb_i + _key(keys, values):
                     elementwise = False
                 good[w] = good.get(w, 0) + sgn
                 if collect:
-                    good_rows[j - 1].append((_felement(e), render_weight(w, sgn)))
+                    row = _felement((j, values)), render_weight(w, sgn)
+                    good_rows[j - 1].append(row)
+                continue
+            if not check2:
                 continue
             bad_count += 1
+            e = (j, values)
             j2, sigma = t = _partner(i, j, values)
             if sigma[j2 - 1] == i or t == e or _partner(i, *t) != e:
                 involution_ok = False
@@ -298,28 +323,38 @@ def _walk(
                 text_t = text[1:] if sgn < 0 else "-" + text
                 pair_rows[j - 1].append((_felement(e), _felement(t), text, text_t))
 
-    good_sum, bad_sum = _owned(_nonzero(good)), _owned(_nonzero(bad))
-    aggregate1 = good_sum == b_i_times_x0
-    aggregate2 = bad_sum == 0
-    fact1 = Fact1Report(
-        i=i,
-        ok=elementwise and aggregate1,
-        elementwise_ok=elementwise,
-        aggregate_ok=aggregate1,
-        good_count=good_count,
-        good_sum=good_sum,
-        b_i_times_x0=b_i_times_x0,
-    )
-    fact2 = Fact2Report(
-        i=i,
-        ok=involution_ok and parity_ok and cancellation_ok and aggregate2,
-        involution_ok=involution_ok,
-        parity_ok=parity_ok,
-        cancellation_ok=cancellation_ok,
-        aggregate_ok=aggregate2,
-        bad_count=bad_count,
-        bad_sum=bad_sum,
-    )
+    fact1 = fact2 = None
+    if check1:
+        good_sum = _owned(_nonzero(good))
+        # good == b_i * X_0, term by term: adding kb_i to a key is one-to-one,
+        # so equal lengths and every term of X_0 found at its key + kb_i
+        # leave no good term unmatched
+        x0_terms = x0._terms
+        aggregate1 = len(good) == len(x0_terms) and all(
+            good.get(m + kb_i) == c for m, c in x0_terms.items()
+        )
+        fact1 = Fact1Report(
+            i=i,
+            ok=elementwise and aggregate1,
+            elementwise_ok=elementwise,
+            aggregate_ok=aggregate1,
+            good_count=good_count,
+            good_sum=good_sum,
+            b_i_times_x0=good_sum if aggregate1 else gs.rhs_entry(i) * x0,
+        )
+    if check2:
+        bad_sum = _owned(_nonzero(bad))
+        aggregate2 = bad_sum == 0
+        fact2 = Fact2Report(
+            i=i,
+            ok=involution_ok and parity_ok and cancellation_ok and aggregate2,
+            involution_ok=involution_ok,
+            parity_ok=parity_ok,
+            cancellation_ok=cancellation_ok,
+            aggregate_ok=aggregate2,
+            bad_count=bad_count,
+            bad_sum=bad_sum,
+        )
     if not (collect and fact1.ok and fact2.ok):
         return fact1, fact2, None
     fact1_sum = render_scalar(good_sum)  # fact1.ok: the good sum is b_i * X_0

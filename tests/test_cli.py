@@ -408,8 +408,8 @@ def test_check_involution_walks_f5_once(tmp_path, capsys, monkeypatch):
     # one enumeration of S_5 and (n + 1) * n! = 720 weight keys, each one
     # integer sum: w_0 once per permutation, at its good element, plus each
     # element of F_5 once; (n - 1) * n! / 2 = 240 partner parities, one per
-    # bad pair, at its smaller element; the fact-1 aggregate takes b_i * X_0
-    # from one kernel call, a second algorithm to check the walk's good sum
+    # bad pair, at its smaller element; the fact-1 aggregate takes X_0 from
+    # one kernel call, a second algorithm to check the walk's good sum
     # against.  The walk forms no weight as a product of entries
     calls = {"enumerations": 0, "weights": 0, "signs": 0, "sums": 0, "products": 0}
 

@@ -504,6 +504,74 @@ def test_every_walk_check_can_fail(monkeypatch):
         assert missed, f"no walk fault needs line {node.lineno}: {ast.unparse(node)}"
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_each_view_is_its_half_of_the_walk(n):
+    # check_fact1 walks only the good elements and check_fact2 only the bad
+    # ones; each report equals the one the walk of both facts makes
+    gs = generic_system(n)
+    for i in range(1, n + 1):
+        fact1, fact2, _ = involution._walk(gs, i)
+        assert check_fact1(gs, i) == fact1
+        assert check_fact2(gs, i) == fact2
+
+
+def test_each_view_fails_as_the_walk_does(monkeypatch):
+    # under every walk fault each view reports what the walk of both facts
+    # reports for its fact, False fields and all, so the faults that
+    # test_every_walk_check_can_fail needs reach the one-fact paths too
+    gs = generic_system(3)
+    for fault in WALK_FAULTS:
+        with monkeypatch.context() as m:
+            fault(m)
+            failed = False
+            for i in (1, 2, 3):
+                fact1, fact2, _ = involution._walk(gs, i)
+                assert check_fact1(gs, i) == fact1
+                assert check_fact2(gs, i) == fact2
+                failed |= not (fact1.ok and fact2.ok)
+            assert failed
+
+
+def test_each_view_does_only_its_own_work(monkeypatch):
+    # check_fact2 sums no X_0 and check_fact1 pairs no bad element.  The
+    # prove sequence of the benchmark's prove-symbolic op sums X_0 three
+    # times: in verify_identity's all_big_x, in check_fact1 and in
+    # build_certificate, whose walk checks both facts
+    from cramerkit import cramer, verify_identity
+
+    calls = {"_leibniz": 0, "_partner": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cramer, "_leibniz")
+    counting(involution, "_partner")
+    gs = generic_system(5)
+
+    def count(view):
+        calls.update(dict.fromkeys(calls, 0))
+        assert view(gs, 2).ok
+        return dict(calls)
+
+    # two maps per bad element: its image, then the image of that
+    bad = 4 * math.factorial(5)
+    assert count(check_fact1) == {"_leibniz": 1, "_partner": 0}
+    assert count(check_fact2) == {"_leibniz": 0, "_partner": 2 * bad}
+    calls.update(dict.fromkeys(calls, 0))
+    for i in range(1, 6):
+        verify_identity(gs, i)
+        check_fact1(gs, i)
+        check_fact2(gs, i)
+        build_certificate(gs, i)
+        assert calls["_leibniz"] == 3 * i
+
+
 # -- certificates -------------------------------------------------------------------
 
 
