@@ -164,25 +164,23 @@ def _load_json(path: str) -> object:
 def _cmd_solve(args) -> int:
     system = parse_input_document(_load_json(args.input)).to_system(args.max_n)
     sol = solve(system, max_n=args.max_n)
-    numerators = [render_scalar(x) for x in sol.numerators]
     denominator = render_scalar(sol.denominator)
-    if system.mode == RATIONAL:
-        x = lines = [str(q) for q in sol.quotients]
-    else:
-        x = [{"numerator": num, "denominator": denominator} for num in numerators]
-        lines = [f"({num}) / ({denominator})" for num in numerators]
     if args.json:
-        payload = {
-            "mode": system.mode,
-            "n": system.n,
-            "x": x,
-            "numerators": numerators,
-            "denominator": denominator,
-        }
-        print(json.dumps(payload))
-    else:
-        for j, line in enumerate(lines, start=1):
-            print(f"x{j} = {line}")
+        numerators = [render_scalar(x) for x in sol.numerators]
+        if system.mode == RATIONAL:
+            x = [str(q) for q in sol.quotients]
+        else:
+            x = [{"numerator": num, "denominator": denominator} for num in numerators]
+        payload = {"mode": system.mode, "n": system.n, "x": x,
+                   "numerators": numerators, "denominator": denominator}
+        json.dump(payload, sys.stdout)  # chunk by chunk: never one string
+        print()
+    elif system.mode == RATIONAL:
+        for j, q in enumerate(sol.quotients, start=1):
+            print(f"x{j} = ", q, sep="")
+    else:  # each line from its parts, its numerator rendered only for it
+        for j, x in enumerate(sol.numerators, start=1):
+            print(f"x{j} = (", render_scalar(x), ") / (", denominator, ")", sep="")
     return EXIT_OK
 
 

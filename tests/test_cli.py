@@ -1,6 +1,7 @@
 """CLI surface: documents, subcommands, exit codes, JSON output."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -174,6 +175,29 @@ def test_solve_symbolic(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["mode"] == "symbolic"
     assert payload["x"][0]["numerator"] == "-a[1,2]*b[2] + a[2,2]*b[1]"
+
+
+# SHA-256 of solve's stdout for the symbolic document of size n, as text and
+# with --json; generated before solve wrote its output as it is built.
+# tests/solve_symbolic_n8.sha256 pins n=8 the same way
+SYMBOLIC_SOLVE_SHA256 = {
+    (3, False): "da0ac1980218782073e0694717788804c216ac6cb10548d1256c4c4f037aea05",
+    (3, True): "f43ba80dd4c1598f873094fa7d2bc86ccc8680bb553d7cb3b7ee7ccae7ca4be2",
+    (4, False): "4a35ad8fb52ebd893cde5c4e9311aad8b301282bc9480c9f9454186442ca6e18",
+    (4, True): "4409d4f7394278f4da24de44faed3a42f334d9ecbe3e95c94a94b3f509c2a025",
+    (5, False): "baf82b87e5453928681cdbee55ad9c2be77e45385b4e2c83f09b3310ae32abc6",
+    (5, True): "72c5a5f95ba3351c4fb5c45af51ec32d73110c2fdad2772db121b1ae1c984ce6",
+    (6, False): "a585a57e1fd201618c2625c5a6d654a080b65d3bd2a38d10959955b0b6f7a6cc",
+    (6, True): "d3586065697b7eca9344833631a46c43ace8cc249af5cc7989fb78921446f120",
+}
+
+
+@pytest.mark.parametrize("n, as_json", sorted(SYMBOLIC_SOLVE_SHA256))
+def test_symbolic_solve_bytes(tmp_path, capsys, n, as_json):
+    path = write_doc(tmp_path, "s.json", {"n": n, "mode": "symbolic"})
+    code, out, err = run(capsys, "solve", "--input", path, *(["--json"] if as_json else []))
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_SOLVE_SHA256[n, as_json]
 
 
 def test_solve_singular_exit_code(tmp_path, capsys):
@@ -1109,20 +1133,46 @@ def test_a_closed_pipe_after_one_symbolic_solve_line_exits_1(tmp_path):
         assert_output_not_written(code, err, "[Errno 32] Broken pipe")
 
 
+def test_a_closed_pipe_partway_through_a_symbolic_solve_json_exits_1(tmp_path):
+    # the n=6 document is about 600 kB, far more than the pipe holds, so the
+    # child is still writing when the pipe closes after its first 4 kB, with
+    # its output buffered or not
+    doc = write_doc(tmp_path, "sym6.json", {"n": 6, "mode": "symbolic"})
+    for unbuffered in ("", "1"):
+        proc = cli_child(
+            ["solve", "--json", "--input", doc], subprocess.PIPE,
+            PYTHONUNBUFFERED=unbuffered,
+        )
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert len(head) == 4096
+        assert head.startswith(b'{"mode": "symbolic", "n": 6, "x": [{"numerator": "')
+        assert_output_not_written(proc.wait(), err, "[Errno 32] Broken pipe")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 def test_solve_json_to_a_full_device_exits_1(tmp_path):
-    # buffered, the write fails at main's final flush; unbuffered, at print
-    doc = write_doc(tmp_path, "d.json", rational_doc([[1, 1], [1, -1]], [3, 1]))
-    for unbuffered in ("", "1"):
-        with open("/dev/full", "wb") as full:
-            proc = cli_child(
-                ["solve", "--json", "--input", doc], full, PYTHONUNBUFFERED=unbuffered
+    # the rational document fits the buffer: buffered, the write fails at
+    # main's final flush, and unbuffered at its first write.  The symbolic
+    # n=5 document is larger than the buffer, so it fails partway either way
+    docs = [
+        write_doc(tmp_path, "d.json", rational_doc([[1, 1], [1, -1]], [3, 1])),
+        write_doc(tmp_path, "sym5.json", {"n": 5, "mode": "symbolic"}),
+    ]
+    for doc in docs:
+        for unbuffered in ("", "1"):
+            with open("/dev/full", "wb") as full:
+                proc = cli_child(
+                    ["solve", "--json", "--input", doc], full,
+                    PYTHONUNBUFFERED=unbuffered,
+                )
+                err = proc.stderr.read()
+                proc.stderr.close()
+            assert_output_not_written(
+                proc.wait(), err, "[Errno 28] No space left on device"
             )
-            err = proc.stderr.read()
-            proc.stderr.close()
-        assert_output_not_written(
-            proc.wait(), err, "[Errno 28] No space left on device"
-        )
 
 
 def test_an_unreadable_input_file_still_exits_2(tmp_path, capsys):

@@ -410,6 +410,34 @@ def test_walk_checks_the_pairing_map(
         assert not path.exists()
 
 
+def test_bad_sum_keeps_each_uncancelled_weight(monkeypatch):
+    # fact 2 reports the sum of the bad weights that fail to cancel, each
+    # counted once.  With the partner's sign kept, each pair is settled at its
+    # smaller element e with both weights equal to W(e), so the sum is twice
+    # theirs; with one key corrupted, one pair is left, as two terms of
+    # opposite sign
+    with monkeypatch.context() as m:
+        _partner_keeps_the_sign(m)
+        for n in range(1, 5):
+            gs = generic_system(n)
+            for i in range(1, n + 1):
+                smaller = [
+                    e for e in iter_elements(n)
+                    if not is_good(i, e) and e < t_involution(i, e)
+                ]
+                expected = 2 * sum((weight_W(gs, i, e) for e in smaller), Polynomial.zero())
+                assert check_fact2(gs, i).bad_sum == expected
+    gs = generic_system(3)
+    for i in (1, 2, 3):
+        for e in iter_elements(3):
+            if is_good(i, e):
+                continue
+            with monkeypatch.context() as m:
+                corrupt_key(m, (e.j, e.p.values))
+                bad_sum = check_fact2(gs, i).bad_sum
+            assert sorted(c for _, c in bad_sum.terms()) == [-1, 1], (i, e)
+
+
 WALK_FAULTS = (
     _image_is_itself,
     _image_is_good,
